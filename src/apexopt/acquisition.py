@@ -84,32 +84,41 @@ def _as_candidates(candidates: Sequence[int]) -> np.ndarray:
     return arr  # sorted, so argmin/argmax ties resolve to the lowest index
 
 
-def select_gp_lcb(
-    goal_model: GPModel,
-    candidates: Sequence[int],
+def select(
+    kind: str,
+    candidates: np.ndarray,
+    mean: np.ndarray,
+    std: np.ndarray,
     kappa_n: float,
-    scores: tuple[np.ndarray, np.ndarray] | None = None,
-) -> int:
-    """Candidate minimizing the LCB; ties break to the lowest set index.
-
-    ``scores`` may carry precomputed (mean, std) arrays aligned with the
-    sorted candidate list to avoid a redundant GP prediction pass.
-    """
-    cand = _as_candidates(candidates)
-    mean, std = scores if scores is not None else _model_scores(goal_model, cand)
-    return int(cand[np.argmin(lcb_values(mean, std, kappa_n))])
-
-
-def select_ei(
-    goal_model: GPModel,
-    candidates: Sequence[int],
     f_best: float,
-    scores: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[int, float]:
+    """Best candidate under one acquisition rule, and its trap score.
+
+    ``mean`` and ``std`` are aligned with ``candidates``. "gp-lcb"
+    minimizes the LCB and scores the choice by its coefficient of
+    variation; "ei" maximizes EI and scores the choice by its EI. Ties
+    break to the first candidate.
+    """
+    if kind == "gp-lcb":
+        pos = int(np.argmin(lcb_values(mean, std, kappa_n)))
+        return int(candidates[pos]), coefficient_of_variation(mean[pos], std[pos])
+    ei = ei_values(mean, std, f_best)
+    pos = int(np.argmax(ei))
+    return int(candidates[pos]), float(ei[pos])
+
+
+def select_gp_lcb(
+    goal_model: GPModel, candidates: Sequence[int], kappa_n: float
 ) -> int:
+    """Candidate minimizing the LCB; ties break to the lowest set index."""
+    cand = _as_candidates(candidates)
+    return select("gp-lcb", cand, *_model_scores(goal_model, cand), kappa_n, 0.0)[0]
+
+
+def select_ei(goal_model: GPModel, candidates: Sequence[int], f_best: float) -> int:
     """Candidate maximizing EI; ties break to the lowest set index."""
     cand = _as_candidates(candidates)
-    mean, std = scores if scores is not None else _model_scores(goal_model, cand)
-    return int(cand[np.argmax(ei_values(mean, std, f_best))])
+    return select("ei", cand, *_model_scores(goal_model, cand), 0.0, f_best)[0]
 
 
 def coefficient_of_variation(mean: float, std: float) -> float:
@@ -180,7 +189,8 @@ def delta_metric(
 
     Both terms are normalized by the magnitude of their current-best
     observation (guarded away from zero) so the ordering survives
-    canonical sign flips of either metric.
+    canonical sign flips of either metric. ``lcb_c`` and ``improvement``
+    may be arrays over candidate sets.
     """
     return lcb_c / max(abs(f_c_plus), EPS_DIV) - improvement / max(
         abs(f_best), EPS_DIV
@@ -208,10 +218,8 @@ def escape_constraint(
     improvement = f_best - goal_mean
     best_delta = np.full(cand.shape, np.inf)
     for metric, model in constraint_models.items():
-        mean, var = model.predict_sets(cand)
-        lcb_c = mean - kappa_n * np.sqrt(np.maximum(var, 0.0))
-        delta = lcb_c / max(abs(f_c_plus[metric]), EPS_DIV) - improvement / max(
-            abs(f_best), EPS_DIV
-        )
+        mean, std = _model_scores(model, cand)
+        lcb_c = mean - kappa_n * std
+        delta = delta_metric(lcb_c, f_c_plus[metric], improvement, f_best)
         best_delta = np.minimum(best_delta, delta)
     return int(cand[np.argmin(best_delta)])

@@ -175,9 +175,9 @@ class QTable:
     observed goal range so it dominates without diverging.
     """
 
-    learning_rate: float = 0.1
-    discount: float = 0.9
-    epsilon: float = 0.05
+    learning_rate: float
+    discount: float
+    epsilon: float
     values: dict[int, dict[Action, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -213,9 +213,9 @@ class _RlPolicy:
         self,
         space: ParameterSpace,
         rng: np.random.Generator,
-        epsilon: float = 0.05,
-        learning_rate: float = 0.1,
-        discount: float = 0.9,
+        epsilon: float,
+        learning_rate: float,
+        discount: float,
     ):
         self.space = space
         self.rng = rng

@@ -17,7 +17,9 @@ outputs are byte-identical across reruns of the same config.
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -59,6 +61,20 @@ EXIT_CONFIG = 2
 EXIT_EXECUTOR = 3
 EXIT_UNSATISFIABLE = 4
 
+_ENGINE_KEYS = {
+    "selector": str, "n_init": int, "init_strategy": str, "delta": float,
+    "seed": int, "rl_epsilon": float, "rl_learning_rate": float,
+    "rl_discount": float,
+}
+_KERNEL_KEYS = {
+    "kind": str, "length_scale": float, "signal_variance": float,
+    "noise_variance": float, "jitter": float,
+}
+_CAMPAIGN_KEYS = {
+    "approach": str, "iterations": int, "max_trials": int, "base_seed": int,
+    "bins": int, "jobs": int,
+}
+
 _EXPR_NAMES = {
     "abs": abs,
     "min": min,
@@ -73,6 +89,7 @@ _EXPR_NAMES = {
     "log2": math.log2,
     "sqrt": math.sqrt,
 }
+_EXPR_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
 # -- schema helpers ---------------------------------------------------------
@@ -106,6 +123,15 @@ def _get(d: Mapping, key: str, path: str, kind, default=None, required=False):
     if kind is not None and not isinstance(value, kind):
         _fail(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _present(block: Mapping, kinds: Mapping[str, type], path: str) -> dict:
+    """Type-checked values of the ``kinds`` keys that ``block`` sets."""
+    return {
+        key: _get(block, key, path, kind)
+        for key, kind in kinds.items()
+        if block.get(key) is not None
+    }
 
 
 # -- config model -------------------------------------------------------------
@@ -174,8 +200,13 @@ class ConfigBundle:
         )
 
     def campaign_spec(self, **overrides) -> CampaignSpec:
-        blk = dict(self.campaign_block)
-        blk.update({k: v for k, v in overrides.items() if v is not None})
+        eng = self.engine_block
+        blk = {
+            "approach": eng.get("selector", EngineConfig.selector),
+            "base_seed": eng.get("seed", EngineConfig.seed),
+            **self.campaign_block,
+            **{k: v for k, v in overrides.items() if v is not None},
+        }
         kind = self.executor_block["kind"]
         if kind == "replay":
             dataset = load_dataset(self.executor_block["path"], self.space)
@@ -186,24 +217,8 @@ class ConfigBundle:
             raise ConfigError(
                 "campaign: executor.kind must be 'replay' or 'synthetic'"
             )
-        eng = self.engine_block
         return CampaignSpec(
-            requirement=self.requirement,
-            approach=blk.get("approach", eng.get("selector", "gp-lcb")),
-            iterations=blk.get("iterations", 1000),
-            max_trials=blk.get("max_trials"),
-            base_seed=blk.get("base_seed", eng.get("seed", 0)),
-            n_init=eng.get("n_init", 6),
-            init_strategy=eng.get("init_strategy", "random"),
-            suggestions=eng.get("suggestions", ()),
-            delta=eng.get("delta", 0.1),
-            kernel=eng.get("kernel", KernelConfig()),
-            bins=blk.get("bins", 20),
-            jobs=blk.get("jobs", 1),
-            rl_epsilon=eng.get("rl_epsilon", 0.05),
-            rl_learning_rate=eng.get("rl_learning_rate", 0.1),
-            rl_discount=eng.get("rl_discount", 0.9),
-            **source,
+            requirement=self.requirement, engine=eng, **blk, **source
         )
 
 
@@ -370,16 +385,54 @@ def _parse_executor(block: Mapping, base_dir: Path, space: ParameterSpace) -> di
     _fail("executor.kind", f"must be 'replay', 'synthetic', or 'remote', got {kind!r}")
 
 
+def _check_expression(node: ast.AST, path: str) -> None:
+    """Reject any syntax outside the expression grammar: number constants,
+    ``z[<int>]``, ``+ - * / **``, unary ``-``/``+``, and the constants and
+    positional function calls of ``_EXPR_NAMES``."""
+    children: Sequence[ast.AST] = ()
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _EXPR_BINOPS):
+        children = (node.left, node.right)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        children = (node.operand,)
+    elif (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and callable(_EXPR_NAMES.get(node.func.id))
+        and not node.keywords
+    ):
+        children = node.args
+    elif not (
+        (isinstance(node, ast.Constant) and type(node.value) in (int, float))
+        or (isinstance(node, ast.Name) and isinstance(_EXPR_NAMES.get(node.id), float))
+        or (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "z"
+            and isinstance(node.slice, ast.Constant)
+            and type(node.slice.value) is int
+        )
+    ):
+        _fail(path, f"expression may not contain {ast.unparse(node)!r}")
+    for child in children:
+        _check_expression(child, path)
+
+
 def _evaluate_expression(expr: str, space: ParameterSpace, path: str) -> np.ndarray:
     """Materialize an expression over normalized coordinates into a table.
 
     The expression sees ``z`` (the normalized coordinate vector) plus basic
-    math names; it is evaluated once per parameter set at config time.
+    math names; it is evaluated once per parameter set at config time,
+    after its syntax tree passes ``_check_expression``.
     """
     if not isinstance(expr, str):
         _fail(path, "expression must be a string")
     try:
-        code = compile(expr, path, "eval")
+        tree = ast.parse(expr, path, "eval")
+    except SyntaxError as e:
+        _fail(path, f"expression failed to evaluate: {e}")
+    _check_expression(tree.body, path)
+    try:
+        code = compile(tree, path, "eval")
         values = [
             float(eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, "z": space.normalized(i)}))
             for i in range(space.n_sets)
@@ -390,43 +443,23 @@ def _evaluate_expression(expr: str, space: ParameterSpace, path: str) -> np.ndar
 
 
 def _parse_engine(block: Mapping, space: ParameterSpace) -> dict:
-    _check_keys(
-        block,
-        ["selector", "n_init", "init_strategy", "suggestions", "delta", "kernel",
-         "seed", "rl_epsilon", "rl_learning_rate", "rl_discount"],
-        "engine",
-    )
-    out = {
-        "selector": _get(block, "selector", "engine", str, "gp-lcb"),
-        "n_init": _get(block, "n_init", "engine", int, 6),
-        "init_strategy": _get(block, "init_strategy", "engine", str, "random"),
-        "delta": _get(block, "delta", "engine", float, 0.1),
-        "seed": _get(block, "seed", "engine", int, 0),
-        "rl_epsilon": _get(block, "rl_epsilon", "engine", float, 0.05),
-        "rl_learning_rate": _get(block, "rl_learning_rate", "engine", float, 0.1),
-        "rl_discount": _get(block, "rl_discount", "engine", float, 0.9),
-    }
-    suggestions = []
-    for i, s in enumerate(block.get("suggestions") or []):
-        if not isinstance(s, list):
-            _fail(f"engine.suggestions[{i}]", "expected a list of parameter values")
-        pset = ParameterSet(tuple(s))
-        space.index_of(pset)  # validates membership
-        suggestions.append(pset)
-    out["suggestions"] = tuple(suggestions)
-    kernel = _as_mapping(block.get("kernel"), "engine.kernel")
-    _check_keys(
-        kernel,
-        ["kind", "length_scale", "signal_variance", "noise_variance", "jitter"],
-        "engine.kernel",
-    )
-    out["kernel"] = KernelConfig(
-        kind=_get(kernel, "kind", "engine.kernel", str, "rbf"),
-        length_scale=_get(kernel, "length_scale", "engine.kernel", float, 1.0),
-        signal_variance=_get(kernel, "signal_variance", "engine.kernel", float, 1.0),
-        noise_variance=_get(kernel, "noise_variance", "engine.kernel", float, 0.1),
-        jitter=_get(kernel, "jitter", "engine.kernel", float, 1e-8),
-    )
+    """The EngineConfig keywords the block sets; EngineConfig supplies the
+    defaults for the rest."""
+    _check_keys(block, [*_ENGINE_KEYS, "suggestions", "kernel"], "engine")
+    out = _present(block, _ENGINE_KEYS, "engine")
+    if block.get("suggestions") is not None:
+        suggestions = []
+        for i, s in enumerate(block["suggestions"]):
+            if not isinstance(s, list):
+                _fail(f"engine.suggestions[{i}]", "expected a list of parameter values")
+            pset = ParameterSet(tuple(s))
+            space.index_of(pset)  # validates membership
+            suggestions.append(pset)
+        out["suggestions"] = tuple(suggestions)
+    if block.get("kernel") is not None:
+        kernel = _as_mapping(block["kernel"], "engine.kernel")
+        _check_keys(kernel, list(_KERNEL_KEYS), "engine.kernel")
+        out["kernel"] = KernelConfig(**_present(kernel, _KERNEL_KEYS, "engine.kernel"))
     return out
 
 
@@ -440,20 +473,8 @@ def _parse_termination(block: Mapping) -> TerminationCriteria:
 
 
 def _parse_campaign(block: Mapping) -> dict:
-    _check_keys(
-        block,
-        ["approach", "iterations", "max_trials", "base_seed", "bins", "jobs"],
-        "campaign",
-    )
-    out = {}
-    for key, kind in [
-        ("approach", str), ("iterations", int), ("max_trials", int),
-        ("base_seed", int), ("bins", int), ("jobs", int),
-    ]:
-        value = _get(block, key, "campaign", kind)
-        if value is not None:
-            out[key] = value
-    return out
+    _check_keys(block, list(_CAMPAIGN_KEYS), "campaign")
+    return _present(block, _CAMPAIGN_KEYS, "campaign")
 
 
 # -- result serialization -----------------------------------------------------
@@ -464,19 +485,11 @@ def run_result_to_dict(result: RunResult, config: EngineConfig) -> dict:
     return {
         "schema_version": 1,
         "config": {
-            "parameters": [
-                {"name": d.name, "values": list(d.values), "unit": d.unit,
-                 "scale": d.scale}
-                for d in space.defs
-            ],
+            "parameters": [dataclasses.asdict(d) for d in space.defs],
             "requirement": {
                 "goal": {"metric": req.goal.name, "direction": req.goal.direction,
                          "unit": req.goal.unit},
-                "constraints": [
-                    {"metric": c.metric, "relation": c.relation, "bound": c.bound,
-                     "percentile": c.percentile}
-                    for c in req.constraints
-                ],
+                "constraints": [dataclasses.asdict(c) for c in req.constraints],
                 "confidence_target": req.confidence_target,
             },
             "selector": config.selector,
@@ -491,11 +504,7 @@ def run_result_to_dict(result: RunResult, config: EngineConfig) -> dict:
                 "jitter": config.kernel.jitter,
             },
             "seed": config.seed,
-            "termination": {
-                "max_trials": config.termination.max_trials,
-                "alpha_target": config.termination.alpha_target,
-                "beta_target": config.termination.beta_target,
-            },
+            "termination": dataclasses.asdict(config.termination),
         },
         "terminated_by": result.terminated_by,
         "aborted": result.aborted,
@@ -509,27 +518,7 @@ def run_result_to_dict(result: RunResult, config: EngineConfig) -> dict:
         ),
         "alpha": result.alpha,
         "beta": result.beta,
-        "trials": [
-            {
-                "n": t.n,
-                "set_index": t.set_index,
-                "selected_by": t.selected_by,
-                "trap": t.trap,
-                "escape_mode": t.escape_mode,
-                "metrics": t.metrics,
-                "tau": t.tau,
-                "cumulative": t.cumulative,
-                "theta": t.theta,
-                "alpha": t.alpha,
-                "alpha_b1": t.alpha_b1,
-                "alpha_b2": t.alpha_b2,
-                "beta": t.beta,
-                "best_index": t.best_index,
-                "reported_index": t.reported_index,
-                "reported_goal_median": t.reported_goal_median,
-            }
-            for t in result.trials
-        ],
+        "trials": [dataclasses.asdict(t) for t in result.trials],
     }
 
 
@@ -542,19 +531,12 @@ def reanalyze_run_file(path: str | Path) -> list:
     """Rebuild the per-trial analysis from a persisted run-result JSON."""
     doc = load_run_result(path)
     cfg = doc["config"]
-    space = ParameterSpace(
-        [ParameterDef(p["name"], tuple(p["values"]), p.get("unit", ""),
-                      p.get("scale", "linear"))
-         for p in cfg["parameters"]]
-    )
+    space = ParameterSpace([ParameterDef(**p) for p in cfg["parameters"]])
     req_raw = cfg["requirement"]
     requirement = Requirement(
         goal=MetricSpec(req_raw["goal"]["metric"], req_raw["goal"]["direction"],
                         req_raw["goal"].get("unit", "")),
-        constraints=tuple(
-            ConstraintSpec(c["metric"], c["relation"], c["bound"], c["percentile"])
-            for c in req_raw["constraints"]
-        ),
+        constraints=tuple(ConstraintSpec(**c) for c in req_raw["constraints"]),
         confidence_target=req_raw.get("confidence_target"),
     )
     kernel = KernelConfig(**cfg["kernel"])

@@ -31,7 +31,6 @@ from apexopt.domain import (
     max_distance,
     normalized_distance,
 )
-from apexopt.surrogate import GPModel
 
 B_MIN = 0.01
 B_MAX = 100.0
@@ -66,29 +65,20 @@ def kappa(n: int, space_size: int, delta: float) -> float:
     return math.sqrt(2.0 * math.log(space_size * n**2 * math.pi**2 / (6.0 * delta)))
 
 
-def lcb_floor(
-    goal_model: GPModel, candidates: Sequence[int], kappa_n: float
-) -> float:
-    """Lowest mean - kappa * std over the candidate sets."""
-    mean, var = goal_model.predict_sets(candidates)
-    return float(np.min(mean - kappa_n * np.sqrt(var)))
-
-
 def instant_suboptimality(
-    goal_model: GPModel,
-    candidates: Sequence[int],
-    best_median: float,
-    kappa_n: float,
+    best_median: float, mean: np.ndarray, std: np.ndarray, kappa_n: float
 ) -> float:
     """Gap between the best observed median and the lowest confidence bound.
 
-    May be negative when the median sits below the model's floor; callers
-    record it as-is. Undefined candidate sets or best values are handled
-    by the caller (the engine carries the previous value forward).
+    ``mean`` and ``std`` are the goal posterior over the candidate sets;
+    the floor is their lowest mean - kappa * std. May be negative when the
+    median sits below the model's floor; callers record it as-is.
+    Undefined candidate sets or best values are handled by the caller
+    (the engine carries the previous value forward).
     """
-    if len(candidates) == 0:
+    if len(mean) == 0:
         raise ConfigError("instant_suboptimality needs a non-empty candidate set")
-    return best_median - lcb_floor(goal_model, candidates, kappa_n)
+    return best_median - float(np.min(mean - kappa_n * std))
 
 
 def _curve(b: float, x: np.ndarray) -> np.ndarray:

@@ -384,9 +384,6 @@ class History:
     def __iter__(self):
         return iter(self._observations)
 
-    def for_set(self, set_index: int) -> tuple[Observation, ...]:
-        return tuple(self._by_set.get(set_index, ()))
-
     def count(self, set_index: int) -> int:
         return len(self._by_set.get(set_index, ()))
 
@@ -395,9 +392,6 @@ class History:
 
     def observed_sets(self) -> tuple[int, ...]:
         return tuple(sorted(self._by_set))
-
-    def values(self, set_index: int, metric: str) -> list[float]:
-        return [o.metrics[metric] for o in self._by_set.get(set_index, ())]
 
 
 @dataclass(frozen=True)

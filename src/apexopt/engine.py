@@ -50,6 +50,7 @@ SELECTOR_ALIASES = {
 }
 
 INIT_STRATEGIES = ("suggestions", "latin-hypercube", "sobol", "random")
+RL_SELECTORS = ("rl-step", "rl-any")
 
 
 def normalize_selector(name: str) -> str:
@@ -309,8 +310,8 @@ class AnalysisState:
         self,
         space: ParameterSpace,
         requirement: Requirement | CanonicalForm,
-        delta: float = 0.1,
-        kernel: KernelConfig = KernelConfig(),
+        delta: float,
+        kernel: KernelConfig,
     ):
         self.space = space
         self.canonical = canonicalize(requirement)
@@ -388,8 +389,9 @@ class AnalysisState:
         kappa_n = confidence.kappa(n, self.space.n_sets, self.delta)
         if best is not None and d_n:
             cand = np.asarray(d_n, dtype=int)
-            floor = float(np.min(goal_mean[cand] - kappa_n * goal_std[cand]))
-            tau = best_value - floor
+            tau = confidence.instant_suboptimality(
+                best_value, goal_mean[cand], goal_std[cand], kappa_n
+            )
         else:
             tau = None
         tau = self.trace.record(tau)
@@ -533,31 +535,25 @@ class Engine:
         )
         self.nts_state = acquisition.NtsState()
         self.trials: list[TrialLogEntry] = []
-        self._selector = self._build_selector()
+        # The stateful baseline selectors: GER's sweep or the RL policy.
+        self._policy = self._build_policy()
 
-    # -- selector wiring ---------------------------------------------------
-
-    def _build_selector(self):
+    def _build_policy(self):
         kind = self.config.selector
-        if kind in ("gp-lcb", "ei"):
-            return _ApexDriver(kind)
-        if kind == "gel":
-            return _GelDriver()
         if kind == "ger":
-            return _GerDriver(baselines.GerSchedule(self.space, self.config.seed))
-        if kind == "guc":
-            return _GucDriver()
+            return baselines.GerSchedule(self.space, self.config.seed)
+        if kind not in RL_SELECTORS:
+            return None
         policy_cls = (
             baselines.RlStepPolicy if kind == "rl-step" else baselines.RlAnyPolicy
         )
-        policy = policy_cls(
+        return policy_cls(
             self.space,
             self.rng,
             epsilon=self.config.rl_epsilon,
             learning_rate=self.config.rl_learning_rate,
             discount=self.config.rl_discount,
         )
-        return _RlDriver(policy, kind)
 
     # -- run loop ----------------------------------------------------------
 
@@ -569,6 +565,8 @@ class Engine:
                 self._execute(choice)
         except ExecutorError as e:
             return self._result("executor-error", aborted=True, error=str(e))
+        except surrogate.FitError as e:
+            return self._result("fit-error", aborted=True, error=str(e))
         return self._result(self._termination_reason() or "max_trials")
 
     def _initial_phase(self) -> None:
@@ -614,7 +612,7 @@ class Engine:
         for _ in range(self.space.n_sets + 2):
             if len(excluded) >= self.space.n_sets:
                 raise DatasetExhausted("no selectable parameter set remains")
-            choice = self._selector.choose(self, self.analysis.last, frozenset(excluded))
+            choice = self._choose(self.analysis.last, frozenset(excluded))
             if choice.index not in excluded:
                 return choice
             excluded.add(choice.index)
@@ -635,7 +633,8 @@ class Engine:
             raise DatasetExhausted("no selectable parameter set remains")
         self.history.append(obs)
         analysis = self.analysis.update(obs)
-        self._selector.notify(self, obs)
+        if self.config.selector in RL_SELECTORS:
+            self._policy.update(self.analysis.reward(obs), obs.set_index)
         self.trials.append(
             TrialLogEntry(
                 n=trial_index,
@@ -673,145 +672,98 @@ class Engine:
             error=error,
         )
 
-    # -- helpers shared by the drivers --------------------------------------
+    # -- selection -----------------------------------------------------------
 
-    def random_open_set(self, excluded: frozenset[int]) -> int:
+    def _choose(self, analysis: Analysis, excluded: frozenset[int]) -> _Choice:
+        kind = self.config.selector
+        if kind in ("gp-lcb", "ei"):
+            return self._choose_gp(analysis, excluded)
+        if kind == "ger":
+            return _Choice(self._policy.select(excluded), kind)
+        if kind in RL_SELECTORS:
+            state = self._policy.state
+            if state is None:
+                state = self.history.observations[-1].set_index
+            return _Choice(self._policy.propose(state, excluded), kind)
+        g_n = baselines.SurrogateLite.fit(self.space, analysis.goal_medians)
+        if kind == "gel":
+            pool = [i for i in analysis.d_satisfying if i not in excluded]
+            fallback = [i for i in range(self.space.n_sets) if i not in excluded]
+            return _Choice(baselines.gel_select(g_n, pool, self.rng, fallback), kind)
+        pool = [i for i in analysis.d_n if i not in excluded]
+        sel = baselines.guc_select(analysis.counts, g_n, pool, self.space, self.rng)
+        return _Choice(sel, kind)
+
+    def _choose_gp(self, analysis: Analysis, excluded: frozenset[int]) -> _Choice:
+        """GP-LCB / EI selection with trap detection and escapes."""
+        kind = self.config.selector
+        pool = np.array([i for i in analysis.d_n if i not in excluded], dtype=int)
+        if pool.size == 0:
+            return self._escape_constraint(analysis, excluded, trap=False) or _Choice(
+                self._random_open_set(excluded), "random"
+            )
+        sel, score = self._select(analysis, pool)
+        if kind == "gp-lcb":
+            self.nts_state.observe_cv(score)
+            trapped = acquisition.detect_trap(self.nts_state, score, "cv")
+        else:
+            self.nts_state.observe_ei(score)
+            trapped = acquisition.detect_trap(self.nts_state, score, "ei")
+        if not trapped:
+            return _Choice(sel, kind)
+        mode = self.nts_state.next_escape()
+        if mode == acquisition.ESCAPE_GOAL:
+            sel = acquisition.escape_goal_outlier(
+                analysis.counts, pool, lambda sub: self._select(analysis, sub)[0]
+            )
+            return _Choice(sel, f"escape:{mode}", trap=True, escape_mode=mode)
+        # With no open violating set, keep the unrestricted selection.
+        return self._escape_constraint(analysis, excluded, trap=True) or _Choice(
+            sel, kind, trap=True, escape_mode=mode
+        )
+
+    def _select(self, analysis: Analysis, pool: np.ndarray) -> tuple[int, float]:
+        return acquisition.select(
+            self.config.selector,
+            pool,
+            analysis.goal_mean[pool],
+            analysis.goal_std[pool],
+            analysis.kappa,
+            analysis.f_best,
+        )
+
+    def _escape_constraint(
+        self, analysis: Analysis, excluded: frozenset[int], trap: bool
+    ) -> _Choice | None:
+        """Constraint-noise escape over the observed-violating sets; None
+        when no such set is open or there are no constraints."""
+        d_prime = [i for i in analysis.d_violating if i not in excluded]
+        if not (d_prime and analysis.constraint_models):
+            return None
+        sel = acquisition.escape_constraint(
+            analysis.goal_model,
+            analysis.constraint_models,
+            d_prime,
+            analysis.f_c_plus,
+            analysis.f_best,
+            analysis.kappa,
+        )
+        mode = acquisition.ESCAPE_CONSTRAINT
+        return _Choice(sel, f"escape:{mode}", trap=trap, escape_mode=mode)
+
+    def _random_open_set(self, excluded: frozenset[int]) -> int:
         pool = [i for i in range(self.space.n_sets) if i not in excluded]
         if not pool:
             raise DatasetExhausted("no selectable parameter set remains")
         return int(pool[self.rng.integers(len(pool))])
 
 
-class _ApexDriver:
-    """GP-LCB / EI selection with trap detection and escapes."""
-
-    def __init__(self, kind: str):
-        self.kind = kind  # "gp-lcb" or "ei"
-
-    def choose(self, eng: Engine, analysis: Analysis, excluded: frozenset[int]) -> _Choice:
-        pool = np.array([i for i in analysis.d_n if i not in excluded], dtype=int)
-        if pool.size == 0:
-            return self._fallback(eng, analysis, excluded)
-        mean = analysis.goal_mean[pool]
-        std = analysis.goal_std[pool]
-        if self.kind == "gp-lcb":
-            pos = int(np.argmin(acquisition.lcb_values(mean, std, analysis.kappa)))
-            sel = int(pool[pos])
-            score = acquisition.coefficient_of_variation(mean[pos], std[pos])
-            eng.nts_state.observe_cv(score)
-            trapped = acquisition.detect_trap(eng.nts_state, score, "cv")
-        else:
-            ei = acquisition.ei_values(mean, std, analysis.f_best)
-            pos = int(np.argmax(ei))
-            sel = int(pool[pos])
-            score = float(ei[pos])
-            eng.nts_state.observe_ei(score)
-            trapped = acquisition.detect_trap(eng.nts_state, score, "ei")
-        if not trapped:
-            return _Choice(index=sel, selected_by=self.kind)
-        mode = eng.nts_state.next_escape()
-        if mode == acquisition.ESCAPE_GOAL:
-            sel = acquisition.escape_goal_outlier(
-                analysis.counts,
-                pool,
-                lambda sub: self._reselect(analysis, np.asarray(sub, dtype=int)),
-            )
-            return _Choice(sel, f"escape:{mode}", trap=True, escape_mode=mode)
-        d_prime = [i for i in analysis.d_violating if i not in excluded]
-        if d_prime and analysis.constraint_models:
-            sel = acquisition.escape_constraint(
-                analysis.goal_model,
-                analysis.constraint_models,
-                d_prime,
-                analysis.f_c_plus,
-                analysis.f_best,
-                analysis.kappa,
-            )
-            return _Choice(sel, f"escape:{mode}", trap=True, escape_mode=mode)
-        # Nothing currently violates: keep the unrestricted selection.
-        return _Choice(sel, self.kind, trap=True, escape_mode=mode)
-
-    def _reselect(self, analysis: Analysis, pool: np.ndarray) -> int:
-        mean = analysis.goal_mean[pool]
-        std = analysis.goal_std[pool]
-        if self.kind == "gp-lcb":
-            return int(pool[np.argmin(acquisition.lcb_values(mean, std, analysis.kappa))])
-        return int(pool[np.argmax(acquisition.ei_values(mean, std, analysis.f_best))])
-
-    def _fallback(self, eng: Engine, analysis: Analysis, excluded: frozenset[int]) -> _Choice:
-        d_prime = [i for i in analysis.d_violating if i not in excluded]
-        if d_prime and analysis.constraint_models:
-            sel = acquisition.escape_constraint(
-                analysis.goal_model,
-                analysis.constraint_models,
-                d_prime,
-                analysis.f_c_plus,
-                analysis.f_best,
-                analysis.kappa,
-            )
-            return _Choice(sel, "escape:constraint-noise",
-                           escape_mode=acquisition.ESCAPE_CONSTRAINT)
-        return _Choice(eng.random_open_set(excluded), "random")
-
-    def notify(self, eng: Engine, obs: Observation) -> None:
-        pass
-
-
-class _GelDriver:
-    def choose(self, eng: Engine, analysis: Analysis, excluded: frozenset[int]) -> _Choice:
-        g_n = baselines.SurrogateLite.fit(eng.space, analysis.goal_medians)
-        pool = [i for i in analysis.d_satisfying if i not in excluded]
-        fallback = [i for i in range(eng.space.n_sets) if i not in excluded]
-        sel = baselines.gel_select(g_n, pool, eng.rng, fallback)
-        return _Choice(sel, "gel")
-
-    def notify(self, eng: Engine, obs: Observation) -> None:
-        pass
-
-
-class _GerDriver:
-    def __init__(self, schedule: baselines.GerSchedule):
-        self.schedule = schedule
-
-    def choose(self, eng: Engine, analysis: Analysis, excluded: frozenset[int]) -> _Choice:
-        return _Choice(self.schedule.select(excluded), "ger")
-
-    def notify(self, eng: Engine, obs: Observation) -> None:
-        pass
-
-
-class _GucDriver:
-    def choose(self, eng: Engine, analysis: Analysis, excluded: frozenset[int]) -> _Choice:
-        g_n = baselines.SurrogateLite.fit(eng.space, analysis.goal_medians)
-        pool = [i for i in analysis.d_n if i not in excluded]
-        sel = baselines.guc_select(analysis.counts, g_n, pool, eng.space, eng.rng)
-        return _Choice(sel, "guc")
-
-    def notify(self, eng: Engine, obs: Observation) -> None:
-        pass
-
-
-class _RlDriver:
-    def __init__(self, policy: baselines._RlPolicy, name: str):
-        self.policy = policy
-        self.name = name
-
-    def choose(self, eng: Engine, analysis: Analysis, excluded: frozenset[int]) -> _Choice:
-        state = self.policy.state
-        if state is None:
-            state = eng.history.observations[-1].set_index
-        return _Choice(self.policy.propose(state, excluded), self.name)
-
-    def notify(self, eng: Engine, obs: Observation) -> None:
-        self.policy.update(eng.analysis.reward(obs), obs.set_index)
-
-
 def reanalyze(
     space: ParameterSpace,
     requirement: Requirement | CanonicalForm,
     observations: Sequence[Observation],
-    delta: float = 0.1,
-    kernel: KernelConfig = KernelConfig(),
+    delta: float,
+    kernel: KernelConfig,
 ) -> list[Analysis]:
     """Recompute the per-trial analysis from a persisted observation log.
 

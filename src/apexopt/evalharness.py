@@ -22,14 +22,13 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Any, Mapping, Sequence, Union
 
 import numpy as np
 
 from apexopt.domain import (
     CanonicalForm,
     ConfigError,
-    ParameterSet,
     Requirement,
     TerminationCriteria,
     canonicalize,
@@ -41,7 +40,6 @@ from apexopt.executor import (
     SyntheticSpec,
     TraceDataset,
 )
-from apexopt.surrogate import KernelConfig
 
 APPROACHES = ("apex-lcb", "apex-ei", "gel", "ger", "guc", "rl-step", "rl-any")
 
@@ -99,16 +97,11 @@ class CampaignSpec:
     iterations: int = 1000
     max_trials: int | None = None
     base_seed: int = 0
-    n_init: int = 6
-    init_strategy: str = "random"
-    suggestions: tuple[ParameterSet, ...] = ()
-    delta: float = 0.1
-    kernel: KernelConfig = field(default_factory=KernelConfig)
+    # EngineConfig keywords shared by every iteration; ``approach`` and the
+    # per-iteration seed take precedence over "selector" and "seed".
+    engine: Mapping[str, Any] = field(default_factory=dict)
     bins: int = 20
     jobs: int = 1
-    rl_epsilon: float = 0.05
-    rl_learning_rate: float = 0.1
-    rl_discount: float = 0.9
 
     def __post_init__(self) -> None:
         if (self.dataset is None) == (self.synthetic is None):
@@ -158,16 +151,7 @@ def _run_iteration(spec: CampaignSpec, iteration: int) -> _IterationOutcome:
         space=space,
         requirement=spec.requirement,
         termination=TerminationCriteria(max_trials=spec.max_trials),
-        selector=spec.approach,
-        n_init=spec.n_init,
-        init_strategy=spec.init_strategy,
-        suggestions=spec.suggestions,
-        delta=spec.delta,
-        kernel=spec.kernel,
-        seed=seed,
-        rl_epsilon=spec.rl_epsilon,
-        rl_learning_rate=spec.rl_learning_rate,
-        rl_discount=spec.rl_discount,
+        **{**spec.engine, "selector": spec.approach, "seed": seed},
     )
     result = Engine(cfg, executor).run()
     budget = spec.max_trials

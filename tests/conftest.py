@@ -148,3 +148,20 @@ def mock_testbed():
     for server in servers:
         server.shutdown()
         server.server_close()
+
+
+def fail_fit_on_call(monkeypatch, k: int) -> None:
+    """Make the k-th (1-based) ``surrogate.fit_many_xy`` call raise FitError,
+    as a degenerate covariance matrix would."""
+    from apexopt import surrogate
+
+    real = surrogate.fit_many_xy
+    calls = [0]
+
+    def flaky(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == k:
+            raise surrogate.FitError("forced degenerate fit")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(surrogate, "fit_many_xy", flaky)

@@ -16,7 +16,11 @@ from apexopt.baselines import (
     quadratic_features,
     uncertainty_scores,
 )
+from apexopt.engine import EngineConfig
 from tests.conftest import make_line_space
+
+RL_RATES = {"learning_rate": EngineConfig.rl_learning_rate,
+            "discount": EngineConfig.rl_discount}
 
 
 class TestSurrogateLite:
@@ -157,7 +161,7 @@ def run_chain(policy, steps, reward_state=2, start=0):
 class TestRlStep:
     def test_pure_greedy_takes_dominant_action(self):
         space = make_line_space(3)
-        policy = RlStepPolicy(space, np.random.default_rng(0), epsilon=0.0)
+        policy = RlStepPolicy(space, np.random.default_rng(0), epsilon=0.0, **RL_RATES)
         policy.update(0.0, 1)
         policy.qtable.values[1] = {("stay",): 0.0, (0, -1): 0.1, (0, 1): 5.0}
         for _ in range(5):
@@ -166,7 +170,8 @@ class TestRlStep:
 
     def test_corner_state_masks_illegal_moves(self):
         space = make_line_space(3)
-        policy = RlStepPolicy(space, np.random.default_rng(0))
+        policy = RlStepPolicy(space, np.random.default_rng(0),
+                              epsilon=EngineConfig.rl_epsilon, **RL_RATES)
         actions = policy.legal_actions(0, frozenset())
         assert (0, -1) not in actions
         assert set(actions) == {("stay",), (0, 1)}
@@ -175,7 +180,7 @@ class TestRlStep:
 
     def test_exhausted_targets_are_never_proposed(self):
         space = make_line_space(3)
-        policy = RlStepPolicy(space, np.random.default_rng(0), epsilon=1.0)
+        policy = RlStepPolicy(space, np.random.default_rng(0), epsilon=1.0, **RL_RATES)
         policy.update(0.0, 1)
         for _ in range(20):
             assert policy.propose(1, exclude=frozenset({0})) != 0
@@ -183,7 +188,8 @@ class TestRlStep:
 
     def test_chain_converges_to_rewarding_state(self):
         space = make_line_space(3)
-        policy = RlStepPolicy(space, np.random.default_rng(123), epsilon=0.3)
+        policy = RlStepPolicy(space, np.random.default_rng(123), epsilon=0.3,
+                              **RL_RATES)
         run_chain(policy, steps=200)
         # Greedy policy must now walk 0 -> 1 -> 2 and then stay.
         policy.qtable.epsilon = 0.0
@@ -200,7 +206,7 @@ class TestRlStep:
         assert max(q1, key=q1.get) == (0, 1)
 
     def test_update_fixed_point(self):
-        table = QTable(learning_rate=0.1, discount=0.9)
+        table = QTable(learning_rate=0.1, discount=0.9, epsilon=0.0)
         table.values[0] = {("stay",): 1.0}
         table.values[1] = {("stay",): 2.0}
         # r + gamma * max Q(s') == Q(s,a) exactly: no change.
@@ -211,7 +217,7 @@ class TestRlStep:
 class TestRlAny:
     def test_full_exploration_is_uniform_over_sets(self):
         space = make_line_space(4)
-        policy = RlAnyPolicy(space, np.random.default_rng(0), epsilon=1.0)
+        policy = RlAnyPolicy(space, np.random.default_rng(0), epsilon=1.0, **RL_RATES)
         policy.update(0.0, 0)
         picks = []
         for _ in range(400):
@@ -222,15 +228,17 @@ class TestRlAny:
 
     def test_greedy_jumps_to_seeded_entry(self):
         space = make_line_space(4)
-        policy = RlAnyPolicy(space, np.random.default_rng(0), epsilon=0.0)
+        policy = RlAnyPolicy(space, np.random.default_rng(0), epsilon=0.0, **RL_RATES)
         policy.update(0.0, 0)
         policy.qtable.values[0] = {("goto", 3): 4.0}
         assert policy.propose(0) == 3
 
     def test_reaches_reward_no_later_than_rl_step(self):
         space = make_line_space(3)
-        step_policy = RlStepPolicy(space, np.random.default_rng(77), epsilon=1.0)
-        any_policy = RlAnyPolicy(space, np.random.default_rng(77), epsilon=1.0)
+        step_policy = RlStepPolicy(space, np.random.default_rng(77), epsilon=1.0,
+                                   **RL_RATES)
+        any_policy = RlAnyPolicy(space, np.random.default_rng(77), epsilon=1.0,
+                                 **RL_RATES)
         step_hit = run_chain(step_policy, steps=100)
         any_hit = run_chain(any_policy, steps=100)
         assert any_hit is not None and step_hit is not None
@@ -238,7 +246,7 @@ class TestRlAny:
 
     def test_table_grows_only_with_visits(self):
         space = make_line_space(4)
-        policy = RlAnyPolicy(space, np.random.default_rng(1), epsilon=0.5)
+        policy = RlAnyPolicy(space, np.random.default_rng(1), epsilon=0.5, **RL_RATES)
         policy.update(0.0, 0)
         for _ in range(10):
             target = policy.propose(policy.state)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from importlib import resources
 
 import pytest
 import yaml
@@ -16,6 +17,8 @@ from apexopt.cli import (
     reanalyze_run_file,
 )
 from apexopt.domain import ConfigError
+from apexopt.engine import SELECTOR_ALIASES
+from tests.conftest import fail_fit_on_call
 
 
 def base_config(dataset_path: str) -> dict:
@@ -129,6 +132,48 @@ class TestParseConfig:
             parse_config(path)
 
 
+def _expression_config(tmp_path, expression: str) -> str:
+    cfg = {
+        "protocol": {"parameters": [{"name": "p", "values": [0, 1, 2]},
+                                    {"name": "q", "values": [1, 2]}]},
+        "requirement": {"goal": {"metric": "m", "direction": "minimize"}},
+        "executor": {
+            "kind": "synthetic",
+            "synthetic": {"metrics": {"m": {"expression": expression}},
+                          "noise_std": {}},
+        },
+        "termination": {"max_trials": 5},
+    }
+    path = tmp_path / "expr.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return str(path)
+
+
+class TestExpressionWhitelist:
+    def test_full_grammar_is_accepted(self, tmp_path):
+        expr = "-sqrt(z[0] + 1) * 2**z[1] / max(1, pi, e) + +abs(log(2.5))"
+        bundle = parse_config(_expression_config(tmp_path, expr))
+        table = bundle.executor_block["metrics"]["m"]
+        assert table.shape == (6,)
+        assert table[0] == pytest.approx(-1.0 / 3.141592653589793 + 0.91629073187)
+
+    @pytest.mark.parametrize("expr", [
+        "(().__class__.__base__.__subclasses__()).__len__()",
+        "__import__('os')",
+        "z.__class__",
+        "(lambda: 1)()",
+        "[v for v in z][0]",
+        "'1'",
+        "sqrt(x=z[0])",
+        "z[0] < 1",
+        "open",
+    ])
+    def test_disallowed_syntax_is_a_config_error(self, tmp_path, expr):
+        path = _expression_config(tmp_path, expr)
+        with pytest.raises(ConfigError, match=r"executor\.synthetic\.metrics\.m"):
+            parse_config(path)
+
+
 class TestOptimizeCommand:
     def test_smoke_run_writes_artifacts(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -207,6 +252,34 @@ class TestOptimizeCommand:
             assert fresh.beta == pytest.approx(stored["beta"], abs=1e-12)
             assert fresh.reported_index == stored["reported_index"]
         assert analyses[-1].reported_index == doc["best"]["index"]
+
+
+    def test_degenerate_fit_is_an_aborted_run(self, config_file, tmp_path,
+                                               monkeypatch, capsys):
+        fail_fit_on_call(monkeypatch, 8)
+        out = tmp_path / "fit"
+        assert main(["optimize", config_file(), "--out", str(out)]) == EXIT_EXECUTOR
+        assert "forced degenerate fit" in capsys.readouterr().err
+        doc = json.loads((out / "run_result.json").read_text())
+        assert doc["terminated_by"] == "fit-error"
+        assert doc["aborted"] is True
+
+
+@pytest.mark.parametrize("selector", sorted(set(SELECTOR_ALIASES.values())))
+@pytest.mark.parametrize("config", ["crystal_replay.yaml", "synthetic_demo.yaml"])
+def test_reanalysis_reproduces_every_trial_exactly(config, selector, tmp_path):
+    out = tmp_path / "rt"
+    cfg = resources.files("apexopt.data") / config
+    assert main(["optimize", str(cfg), "--selector", selector,
+                 "--out", str(out)]) == EXIT_OK
+    doc = json.loads((out / "run_result.json").read_text())
+    analyses = reanalyze_run_file(out / "run_result.json")
+    assert len(analyses) == doc["n_trials"] == len(doc["trials"])
+    for stored, fresh in zip(doc["trials"], analyses):
+        assert fresh.alpha == stored["alpha"]
+        assert fresh.beta == stored["beta"]
+        assert fresh.best_index == stored["best_index"]
+        assert fresh.reported_index == stored["reported_index"]
 
 
 class TestCampaignCommand:

@@ -102,7 +102,8 @@ class TestInstantSuboptimality:
         space = ParameterSpace([ParameterDef("p", (1.0,))])
         model = fit_xy(space, [0, 0, 0], [5.0, 5.0, 5.0],
                        KernelConfig(noise_variance=0.0))
-        tau = instant_suboptimality(model, [0], best_median=5.0, kappa_n=3.0)
+        mean, var = model.predict_sets([0])
+        tau = instant_suboptimality(5.0, mean, np.sqrt(var), kappa_n=3.0)
         assert tau == pytest.approx(0.0, abs=1e-3)
 
     def test_direct_subtraction(self):
@@ -112,7 +113,8 @@ class TestInstantSuboptimality:
                        KernelConfig(noise_variance=0.0))
         # sigma == 0 at both points, so the floor is the mean 100; shift
         # the best median to fabricate the 10-unit gap.
-        tau = instant_suboptimality(model, [0, 1], best_median=110.0, kappa_n=2.0)
+        mean, var = model.predict_sets([0, 1])
+        tau = instant_suboptimality(110.0, mean, np.sqrt(var), kappa_n=2.0)
         assert tau == pytest.approx(10.0, abs=1e-3)
 
     def test_matches_hand_computed_gp(self):
@@ -133,7 +135,8 @@ class TestInstantSuboptimality:
         kappa_n = 2.5
         floor = np.min(mu - kappa_n * np.sqrt(np.maximum(var, 0)))
         expected = 4.0 - floor
-        tau = instant_suboptimality(model, [0, 1, 2], best_median=4.0, kappa_n=kappa_n)
+        pred_mean, pred_var = model.predict_sets([0, 1, 2])
+        tau = instant_suboptimality(4.0, pred_mean, np.sqrt(pred_var), kappa_n)
         assert tau == pytest.approx(expected, abs=1e-8)
 
 

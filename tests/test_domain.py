@@ -187,7 +187,7 @@ class TestObservationsAndHistory:
         h.append(Observation(2, 2, {"m": 3.0}))
         h.append(Observation(3, 1, {"m": 5.0}))
         assert h.count(2) == 2
-        assert h.values(2, "m") == [1.0, 3.0]
+        assert h.counts() == {2: 2, 1: 1}
         assert h.observed_sets() == (1, 2)
 
 

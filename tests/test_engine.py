@@ -27,7 +27,8 @@ from apexopt.executor import (
     SyntheticExecutor,
     SyntheticSpec,
 )
-from tests.conftest import make_dataset, make_line_space
+from apexopt.surrogate import KernelConfig
+from tests.conftest import fail_fit_on_call, make_dataset, make_line_space
 
 
 def rng(seed=0):
@@ -285,6 +286,21 @@ class TestReplayIntegration:
         assert result.n_trials == 16
 
 
+class TestFitError:
+    def test_degenerate_fit_aborts_the_run_with_a_reason(self, noiseless_setup,
+                                                         monkeypatch):
+        space, req, spec = noiseless_setup
+        fail_fit_on_call(monkeypatch, 8)
+        cfg = EngineConfig(space=space, requirement=req,
+                           termination=TerminationCriteria(max_trials=12),
+                           selector="gp-lcb", seed=2)
+        result = Engine(cfg, SyntheticExecutor(spec, 2)).run()
+        assert result.aborted
+        assert result.terminated_by == "fit-error"
+        assert "forced degenerate fit" in result.error
+        assert result.n_trials == 7
+
+
 class TestReanalysis:
     def test_alpha_beta_are_functions_of_the_log_prefix(self, noiseless_setup):
         space, req, spec = noiseless_setup
@@ -313,7 +329,7 @@ class TestMultiConstraintBeta:
                 ConstraintSpec("delay", "<=", 100.0, 0.5),
             ),
         )
-        state = AnalysisState(crystal_space, req)
+        state = AnalysisState(crystal_space, req, EngineConfig.delta, KernelConfig())
         # Four trials of one set: prr always satisfies, delay only twice.
         readings = [
             {"energy": 150.0, "prr": 80.0, "delay": 90.0},

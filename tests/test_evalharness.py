@@ -1,7 +1,14 @@
 """Campaign harness: ground truth, optimality curves, EM metrics, RMSD."""
 
+import dataclasses
+from importlib import resources
+
 import numpy as np
 import pytest
+import yaml
+
+from apexopt import evalharness
+from apexopt.cli import parse_config
 
 from apexopt.domain import (
     ConfigError,
@@ -18,8 +25,9 @@ from apexopt.evalharness import (
     rmsd_alpha,
     run_campaign,
 )
+from apexopt.engine import EngineConfig
 from apexopt.executor import SyntheticSpec
-from tests.conftest import make_dataset
+from tests.conftest import fail_fit_on_call, make_dataset
 
 
 @pytest.fixture
@@ -275,6 +283,68 @@ class TestRunCampaign:
         with pytest.raises(ConfigError):
             CampaignSpec(requirement=energy_prr_requirement, approach="ger",
                          iterations=1)
+
+
+    def test_fit_error_counts_as_one_failed_iteration(self, planted_dataset,
+                                                      energy_prr_requirement,
+                                                      monkeypatch):
+        spec = CampaignSpec(requirement=energy_prr_requirement, approach="apex-lcb",
+                            dataset=planted_dataset, iterations=3, max_trials=20,
+                            base_seed=0)
+        fail_fit_on_call(monkeypatch, 25)  # inside iteration 1
+        result = run_campaign(spec)
+        assert result.failures == 1
+        assert result.failed_iterations == (1,)
+        assert result.iterations == 2
+
+
+def _empty_engine_config(tmp_path):
+    cfg = {
+        "protocol": {"parameters": [{"name": "a", "values": [0, 1, 2, 3]},
+                                    {"name": "b", "values": [0, 1, 2, 3]}]},
+        "requirement": {"goal": {"metric": "m", "direction": "minimize"}},
+        "executor": {"kind": "synthetic",
+                     "synthetic": {"metrics": {"m": {"expression": "z[0] + z[1]"}},
+                                   "noise_std": {"m": 0.1}}},
+        "engine": None,
+        "termination": {"max_trials": 10},
+        "campaign": {"approach": "ei", "base_seed": 7},
+    }
+    path = tmp_path / "empty_engine.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
+@pytest.mark.parametrize("config", ["crystal_replay", "empty_engine"])
+def test_campaign_engine_config_matches_optimize(config, tmp_path, monkeypatch):
+    # The campaign and optimize paths must build the same EngineConfig from
+    # one YAML, so engine defaults live only in EngineConfig/KernelConfig.
+    if config == "crystal_replay":
+        path = resources.files("apexopt.data") / "crystal_replay.yaml"
+    else:
+        path = _empty_engine_config(tmp_path)
+    bundle = parse_config(path)
+    spec = bundle.campaign_spec(iterations=2, max_trials=8)
+    built = []
+    real_engine = evalharness.Engine
+
+    def recording_engine(cfg, executor):
+        built.append(cfg)
+        return real_engine(cfg, executor)
+
+    monkeypatch.setattr(evalharness, "Engine", recording_engine)
+    run_campaign(spec)
+    assert len(built) == 2
+    for i, cfg in enumerate(built):
+        expected = bundle.engine_config(seed=spec.base_seed + i,
+                                        selector=spec.approach)
+        for f in dataclasses.fields(EngineConfig):
+            if f.name == "termination":
+                continue
+            got, want = getattr(cfg, f.name), getattr(expected, f.name)
+            if f.name == "space":
+                got, want = got.defs, want.defs
+            assert got == want, f.name
 
 
 class TestTerminationTiming:
