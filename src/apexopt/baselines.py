@@ -40,19 +40,17 @@ class SurrogateLite:
     """Quadratic least-squares fit to per-set medians of the goal value."""
 
     space: ParameterSpace
-    medians: dict[int, float]
     coeffs: np.ndarray | None = None
 
     @classmethod
     def fit(cls, space: ParameterSpace, medians: Mapping[int, float]) -> "SurrogateLite":
-        medians = dict(medians)
         if not medians:
-            return cls(space, medians, None)
+            return cls(space, None)
         idx = np.array(sorted(medians), dtype=int)
         y = np.array([medians[i] for i in idx], dtype=float)
         feats = quadratic_features(space.normalized_all()[idx])
         coeffs, *_ = np.linalg.lstsq(feats, y, rcond=None)
-        return cls(space, medians, coeffs)
+        return cls(space, coeffs)
 
     @property
     def fitted(self) -> bool:

@@ -388,7 +388,11 @@ def _parse_executor(block: Mapping, base_dir: Path, space: ParameterSpace) -> di
 def _check_expression(node: ast.AST, path: str) -> None:
     """Reject any syntax outside the expression grammar: number constants,
     ``z[<int>]``, ``+ - * / **``, unary ``-``/``+``, and the constants and
-    positional function calls of ``_EXPR_NAMES``."""
+    positional function calls of ``_EXPR_NAMES``.
+
+    Number constants are turned into floats in place, so that ``**``
+    overflows at once instead of building an enormous integer.
+    """
     children: Sequence[ast.AST] = ()
     if isinstance(node, ast.BinOp) and isinstance(node.op, _EXPR_BINOPS):
         children = (node.left, node.right)
@@ -401,9 +405,13 @@ def _check_expression(node: ast.AST, path: str) -> None:
         and not node.keywords
     ):
         children = node.args
+    elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        try:
+            node.value = float(node.value)
+        except OverflowError:
+            _fail(path, "a number constant is too large for a float")
     elif not (
-        (isinstance(node, ast.Constant) and type(node.value) in (int, float))
-        or (isinstance(node, ast.Name) and isinstance(_EXPR_NAMES.get(node.id), float))
+        (isinstance(node, ast.Name) and isinstance(_EXPR_NAMES.get(node.id), float))
         or (
             isinstance(node, ast.Subscript)
             and isinstance(node.value, ast.Name)
@@ -433,10 +441,12 @@ def _evaluate_expression(expr: str, space: ParameterSpace, path: str) -> np.ndar
     _check_expression(tree.body, path)
     try:
         code = compile(tree, path, "eval")
-        values = [
-            float(eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, "z": space.normalized(i)}))
-            for i in range(space.n_sets)
-        ]
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            values = [
+                float(eval(code, {"__builtins__": {}},
+                           {**_EXPR_NAMES, "z": space.normalized(i)}))
+                for i in range(space.n_sets)
+            ]
     except Exception as e:
         _fail(path, f"expression failed to evaluate: {e}")
     return np.asarray(values, dtype=float)

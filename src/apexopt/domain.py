@@ -262,9 +262,6 @@ class CanonicalConstraint:
     bound: float
     percentile: float
 
-    def canonical_value(self, raw: float) -> float:
-        return self.sign * raw
-
     def satisfied(self, raw: float) -> bool:
         return self.sign * raw <= self.bound
 
@@ -349,7 +346,7 @@ class Observation:
 
 
 class History:
-    """Ordered trial observations with a per-set grouping cache.
+    """Ordered trial observations.
 
     Trial indices must arrive as 1, 2, 3, ... consecutively; the engine is
     the single writer.
@@ -358,7 +355,6 @@ class History:
     def __init__(self, required_metrics: Sequence[str] = ()):
         self.required_metrics = tuple(required_metrics)
         self._observations: list[Observation] = []
-        self._by_set: dict[int, list[Observation]] = {}
 
     def append(self, obs: Observation) -> None:
         expected = len(self._observations) + 1
@@ -372,7 +368,6 @@ class History:
                 f"observation at trial {obs.trial_index} missing metrics {missing}"
             )
         self._observations.append(obs)
-        self._by_set.setdefault(obs.set_index, []).append(obs)
 
     @property
     def observations(self) -> tuple[Observation, ...]:
@@ -383,15 +378,6 @@ class History:
 
     def __iter__(self):
         return iter(self._observations)
-
-    def count(self, set_index: int) -> int:
-        return len(self._by_set.get(set_index, ()))
-
-    def counts(self) -> dict[int, int]:
-        return {i: len(v) for i, v in self._by_set.items()}
-
-    def observed_sets(self) -> tuple[int, ...]:
-        return tuple(sorted(self._by_set))
 
 
 @dataclass(frozen=True)

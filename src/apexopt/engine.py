@@ -14,6 +14,7 @@ recomputed from a persisted trial log.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -303,8 +304,23 @@ class Analysis:
         return 0.0
 
 
+def sorted_median(values: Sequence[float]) -> float:
+    """Median of an ascending list; equal to ``np.median`` for finite values."""
+    k = len(values) // 2
+    if len(values) % 2:
+        return float(values[k])
+    return float((values[k - 1] + values[k]) / 2)
+
+
 class AnalysisState:
-    """Incremental per-trial analysis over a growing observation list."""
+    """Incremental per-trial analysis over a growing observation list.
+
+    The single owner of the run's observations: the trial log, each set's
+    raw readings per metric kept sorted (so counts and medians are read
+    off directly), and the raw readings in trial order for the GP targets.
+    Canonical values are ``sign * raw`` at the point of use; negation is
+    exact, so canonical medians equal medians of canonical values.
+    """
 
     def __init__(
         self,
@@ -317,74 +333,67 @@ class AnalysisState:
         self.canonical = canonicalize(requirement)
         self.delta = delta
         self.kernel = kernel
+        metrics = self.canonical.metric_names
+        constrained = [c.metric for c in self.canonical.constraints]
+        if len(set(constrained)) != len(constrained):
+            raise ConfigError(
+                f"at most one constraint per metric is supported, got {constrained}"
+            )
+        self.history = History(required_metrics=metrics)
+        self._sorted: dict[int, dict[str, list[float]]] = {}
+        self._columns: dict[str, list[float]] = {m: [] for m in metrics}
         self._set_indices: list[int] = []
-        self._goal_values: list[float] = []
-        self._constraint_values: dict[str, list[float]] = {
-            c.metric: [] for c in self.canonical.constraints
-        }
-        self._raw_goal_by_set: dict[int, list[float]] = {}
-        self._goal_by_set: dict[int, list[float]] = {}
-        self._constraints_by_set: dict[str, dict[int, list[float]]] = {
-            c.metric: {} for c in self.canonical.constraints
-        }
-        self._raw_constraints_by_set: dict[str, dict[int, list[float]]] = {
-            c.metric: {} for c in self.canonical.constraints
-        }
-        self._goal_medians: dict[int, float] = {}
-        self._constraint_medians: dict[str, dict[int, float]] = {
-            c.metric: {} for c in self.canonical.constraints
-        }
-        self._counts: dict[int, int] = {}
         self.trace = confidence.SuboptimalityTrace()
-        self._best_history: list[tuple[int, float] | None] = []
-        self._reported: int | None = None
         self.last: Analysis | None = None
 
     def update(self, obs: Observation) -> Analysis:
+        self.history.append(obs)
         idx = obs.set_index
-        goal_raw = obs.metrics[self.canonical.goal_metric]
-        goal_canon = self.canonical.goal_sign * goal_raw
+        readings = self._sorted.setdefault(idx, {m: [] for m in self._columns})
+        for metric, column in self._columns.items():
+            value = obs.metrics[metric]
+            column.append(value)
+            bisect.insort(readings[metric], value)
         self._set_indices.append(idx)
-        self._goal_values.append(goal_canon)
-        self._raw_goal_by_set.setdefault(idx, []).append(goal_raw)
-        self._goal_by_set.setdefault(idx, []).append(goal_canon)
-        self._counts[idx] = self._counts.get(idx, 0) + 1
-        self._goal_medians[idx] = float(np.median(self._goal_by_set[idx]))
-        for c in self.canonical.constraints:
-            raw = obs.metrics[c.metric]
-            canon = c.canonical_value(raw)
-            self._constraint_values[c.metric].append(canon)
-            self._constraints_by_set[c.metric].setdefault(idx, []).append(canon)
-            self._raw_constraints_by_set[c.metric].setdefault(idx, []).append(raw)
-            self._constraint_medians[c.metric][idx] = float(
-                np.median(self._constraints_by_set[c.metric][idx])
-            )
         n = len(self._set_indices)
+        canon = self.canonical
+        goal_sorted = readings[canon.goal_metric]
+        # The previous snapshot plus this trial; each snapshot owns its dicts.
+        prev = self.last
+        counts = dict(prev.counts) if prev is not None else {}
+        goal_medians = dict(prev.goal_medians) if prev is not None else {}
+        counts[idx] = len(goal_sorted)
+        goal_medians[idx] = canon.goal_sign * sorted_median(goal_sorted)
 
-        targets = {"goal": self._goal_values}
-        for metric, values in self._constraint_values.items():
-            targets[f"c:{metric}"] = values
+        goal_values = canon.goal_sign * np.asarray(self._columns[canon.goal_metric])
+        targets = {"goal": goal_values}
+        for c in canon.constraints:
+            targets[f"c:{c.metric}"] = c.sign * np.asarray(self._columns[c.metric])
         models = surrogate.fit_many_xy(
             self.space, self._set_indices, targets, self.kernel
         )
         goal_model = models["goal"]
         constraint_models = {
-            c.metric: models[f"c:{c.metric}"] for c in self.canonical.constraints
+            c.metric: models[f"c:{c.metric}"] for c in canon.constraints
         }
         goal_mean, goal_var = goal_model.predict_all()
         goal_std = np.sqrt(np.maximum(goal_var, 0.0))
 
+        constraint_medians = {
+            c.metric: {
+                i: c.sign * sorted_median(r[c.metric])
+                for i, r in self._sorted.items()
+            }
+            for c in canon.constraints
+        }
         d_n, d_sat, d_vio = filter_satisfying(
-            sorted(self._counts),
-            self._constraint_medians,
-            self.canonical,
-            self.space.n_sets,
+            sorted(self._sorted), constraint_medians, canon, self.space.n_sets
         )
         best, reported = current_best(
-            d_sat, self._goal_medians, self._counts, self._reported
+            d_sat, goal_medians, counts,
+            prev.reported_index if prev is not None else None,
         )
-        self._reported = reported
-        best_value = self._goal_medians[best] if best is not None else None
+        best_value = goal_medians[best] if best is not None else None
 
         kappa_n = confidence.kappa(n, self.space.n_sets, self.delta)
         if best is not None and d_n:
@@ -397,27 +406,21 @@ class AnalysisState:
         tau = self.trace.record(tau)
         alpha, theta = confidence.optimality_alpha(self.trace)
 
-        goal_range = (
-            max(self._goal_values) - min(self._goal_values)
-            if len(self._goal_values) > 1
-            else 0.0
-        )
-        prev = self._best_history[-1] if self._best_history else None
-        if best is not None and prev is not None:
-            a_b1 = confidence.alpha_b1(best_value, prev[1], goal_range)
-            a_b2 = confidence.alpha_b2(a_b1, self.space, best, prev[0])
+        goal_range = float(goal_values.max() - goal_values.min())
+        if best is not None and prev is not None and prev.best_index is not None:
+            a_b1 = confidence.alpha_b1(best_value, prev.best_value, goal_range)
+            a_b2 = confidence.alpha_b2(a_b1, self.space, best, prev.best_index)
         else:
             a_b1 = 0.0
             a_b2 = 0.0
-        self._best_history.append((best, best_value) if best is not None else None)
 
         beta = self._beta(reported)
         f_c_plus = {
-            c.metric: max(min(self._constraint_values[c.metric]), c.bound)
-            for c in self.canonical.constraints
+            c.metric: max(float(targets[f"c:{c.metric}"].min()), c.bound)
+            for c in canon.constraints
         }
         reported_goal_median = (
-            float(np.median(self._raw_goal_by_set[reported]))
+            sorted_median(self._sorted[reported][canon.goal_metric])
             if reported is not None
             else None
         )
@@ -429,8 +432,8 @@ class AnalysisState:
             constraint_models=constraint_models,
             goal_mean=goal_mean,
             goal_std=goal_std,
-            counts=dict(self._counts),
-            goal_medians=dict(self._goal_medians),
+            counts=counts,
+            goal_medians=goal_medians,
             d_n=d_n,
             d_satisfying=d_sat,
             d_violating=d_vio,
@@ -455,18 +458,16 @@ class AnalysisState:
             return 0.0
         if not self.canonical.constraints:
             return 1.0
-        betas = []
-        for c in self.canonical.constraints:
-            values = self._raw_constraints_by_set[c.metric].get(reported, [])
-            if not values:
-                return 0.0
-            betas.append(confidence.robustness_beta(values, c))
-        return min(betas)
+        readings = self._sorted[reported]
+        return min(
+            confidence.robustness_beta(readings[c.metric], c)
+            for c in self.canonical.constraints
+        )
 
     def reward(self, obs: Observation) -> float:
         """RL reward: negated canonical goal, minus a range-scaled penalty
         when the observation violates any constraint."""
-        goal = self.canonical.goal_sign * obs.metrics[self.canonical.goal_metric]
+        goal = self.canonical.goal_value(obs.metrics)
         violated = any(
             not c.satisfied(obs.metrics[c.metric])
             for c in self.canonical.constraints
@@ -527,11 +528,9 @@ class Engine:
         self.config = config
         self.executor = executor
         self.space = config.space
-        self.canonical = canonicalize(config.requirement)
         self.rng = np.random.default_rng([config.seed, 0])
-        self.history = History(required_metrics=config.requirement.metric_names)
         self.analysis = AnalysisState(
-            self.space, self.canonical, config.delta, config.kernel
+            self.space, config.requirement, config.delta, config.kernel
         )
         self.nts_state = acquisition.NtsState()
         self.trials: list[TrialLogEntry] = []
@@ -590,7 +589,7 @@ class Engine:
 
     def _termination_reason(self) -> str | None:
         term = self.config.termination
-        n = len(self.history)
+        n = len(self.analysis.history)
         if n == 0:
             return None
         if term.max_trials is not None and n >= term.max_trials:
@@ -619,7 +618,7 @@ class Engine:
         raise DatasetExhausted("no selectable parameter set remains")
 
     def _execute(self, choice: _Choice) -> None:
-        trial_index = len(self.history) + 1
+        trial_index = len(self.analysis.history) + 1
         obs = None
         for _ in range(self.space.n_sets + 2):
             try:
@@ -631,7 +630,6 @@ class Engine:
                 choice = self._select_next()
         if obs is None:
             raise DatasetExhausted("no selectable parameter set remains")
-        self.history.append(obs)
         analysis = self.analysis.update(obs)
         if self.config.selector in RL_SELECTORS:
             self._policy.update(self.analysis.reward(obs), obs.set_index)
@@ -665,7 +663,7 @@ class Engine:
             best_set=self.space.set_at(reported) if reported is not None else None,
             alpha=last.alpha if last is not None else 0.0,
             beta=last.beta if last is not None else 0.0,
-            history=self.history,
+            history=self.analysis.history,
             trials=self.trials,
             terminated_by=terminated_by,
             aborted=aborted,
@@ -681,10 +679,7 @@ class Engine:
         if kind == "ger":
             return _Choice(self._policy.select(excluded), kind)
         if kind in RL_SELECTORS:
-            state = self._policy.state
-            if state is None:
-                state = self.history.observations[-1].set_index
-            return _Choice(self._policy.propose(state, excluded), kind)
+            return _Choice(self._policy.propose(self._policy.state, excluded), kind)
         g_n = baselines.SurrogateLite.fit(self.space, analysis.goal_medians)
         if kind == "gel":
             pool = [i for i in analysis.d_satisfying if i not in excluded]

@@ -214,11 +214,9 @@ class CampaignResult:
 
 
 def em_metrics(
-    optimality: Union[np.ndarray, "CampaignResult"], n_sets: int
+    optimality: np.ndarray, n_sets: int
 ) -> tuple[int | None, float | None, float | None]:
     """(trials to 99% optimality, optimality at n_sets, at 2*n_sets)."""
-    if isinstance(optimality, CampaignResult):
-        optimality = optimality.optimality
     curve = np.asarray(optimality, dtype=float)
     reached = np.flatnonzero(curve >= 99.0)
     em1 = int(reached[0]) + 1 if reached.size else None
@@ -227,14 +225,8 @@ def em_metrics(
     return em1, em2, em3
 
 
-def rmsd_alpha(
-    mean_alpha: Union[np.ndarray, "CampaignResult"],
-    optimality: np.ndarray | None = None,
-) -> float:
+def rmsd_alpha(mean_alpha: np.ndarray, optimality: np.ndarray) -> float:
     """Root mean square deviation between predicted and actual optimality."""
-    if isinstance(mean_alpha, CampaignResult):
-        optimality = mean_alpha.optimality
-        mean_alpha = mean_alpha.mean_alpha
     diff = np.asarray(mean_alpha, dtype=float) - np.asarray(optimality, dtype=float)
     return float(np.sqrt(np.mean(diff**2)))
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,8 +50,6 @@ from apexopt.domain import (
 class ExecutorError(RuntimeError):
     """Base class for trial-execution failures (CLI exit code 3)."""
 
-    retryable = False
-
 
 class SetExhausted(ExecutorError):
     """All recorded trials of the requested set have been consumed."""
@@ -65,13 +64,11 @@ class DatasetExhausted(ExecutorError):
 
 
 class RemoteProtocolError(ExecutorError):
-    """HTTP-level failure talking to the testbed; safe to retry."""
-
-    retryable = True
+    """HTTP-level failure or malformed reply from the testbed."""
 
 
 class JobFailedError(ExecutorError):
-    """The testbed reported the job as failed; not retryable."""
+    """The testbed reported the job as failed."""
 
     def __init__(self, job_id: str):
         super().__init__(f"testbed job {job_id} failed")
@@ -131,11 +128,21 @@ class TraceDataset:
     def values(self, set_index: int, metric: str) -> list[float]:
         return [r.metrics[metric] for r in self.records_by_set[set_index]]
 
-    def median(self, set_index: int, metric: str) -> float:
-        vals = self.values(set_index, metric)
-        if not vals:
-            raise ConfigError(f"set {set_index} has no records")
-        return float(np.median(vals))
+
+def _nonfinite(metrics: Mapping[str, float]) -> list[str]:
+    """Names of the metrics whose value is NaN or infinite."""
+    return [name for name, value in metrics.items() if not math.isfinite(value)]
+
+
+def _record(run_id: str, metrics, where: str) -> TraceRecord:
+    try:
+        rec = TraceRecord(run_id=run_id, metrics=metrics)
+    except (AttributeError, TypeError, ValueError):
+        raise DatasetFormatError(f"{where}: metrics must map names to numbers") from None
+    bad = _nonfinite(rec.metrics)
+    if bad:
+        raise DatasetFormatError(f"{where}: non-finite values for metrics {bad}")
+    return rec
 
 
 def _params_to_index(space: ParameterSpace, params: Mapping[str, float]) -> int:
@@ -214,8 +221,8 @@ def _load_jsonl(path: Path, space: ParameterSpace | None) -> TraceDataset:
         except ConfigError as e:
             raise DatasetFormatError(f"{path}:{line_no}: {e}") from None
         groups[idx].append(
-            TraceRecord(run_id=str(obj.get("run_id", f"line{line_no}")),
-                        metrics=obj["metrics"])
+            _record(str(obj.get("run_id", f"line{line_no}")), obj["metrics"],
+                    f"{path}:{line_no}")
         )
     provenance = {"path": str(path)}
     if header:
@@ -256,7 +263,7 @@ def _load_csv(path: Path, space: ParameterSpace | None) -> TraceDataset:
             idx = _params_to_index(space, params)
         except ConfigError as e:
             raise DatasetFormatError(f"{path}:{row_no}: {e}") from None
-        groups[idx].append(TraceRecord(run_id=run_id, metrics=metrics))
+        groups[idx].append(_record(run_id, metrics, f"{path}:{row_no}"))
     return TraceDataset(
         space, tuple(tuple(g) for g in groups), {"path": str(path)}
     )
@@ -421,6 +428,12 @@ class SyntheticSpec:
                         f"synthetic metric {name!r}: table must have one value "
                         f"per set ({self.space.n_sets}), got shape {table.shape}"
                     )
+                bad = np.flatnonzero(~np.isfinite(table))
+                if bad.size:
+                    raise ConfigError(
+                        f"synthetic metric {name!r}: value {table[bad[0]]} at set "
+                        f"{bad[0]} is not finite"
+                    )
                 self.metrics[name] = table
         for name, std in self.noise_std.items():
             if std < 0:
@@ -535,10 +548,16 @@ def remote_trial(
     try:
         resp = requests.get(f"{base}/jobs/{job_id}/metrics", timeout=cfg.http_timeout)
         resp.raise_for_status()
-        metrics = resp.json()
-        return {str(k): float(v) for k, v in metrics.items()}
-    except (requests.RequestException, TypeError, ValueError) as e:
+        metrics = {str(k): float(v) for k, v in resp.json().items()}
+    except (requests.RequestException, AttributeError, TypeError, ValueError) as e:
         raise RemoteProtocolError(f"metric retrieval failed: {e}") from e
+    bad = _nonfinite(metrics)
+    if bad:
+        raise RemoteProtocolError(
+            f"metric retrieval failed: job {job_id} returned non-finite values "
+            f"for {bad}"
+        )
+    return metrics
 
 
 class RemoteExecutor:

@@ -19,7 +19,7 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from apexopt.domain import ConfigError, History, ParameterSet, ParameterSpace
+from apexopt.domain import ConfigError, ParameterSet, ParameterSpace
 
 KERNEL_RBF = "rbf"
 KERNEL_MATERN52 = "matern52"
@@ -202,24 +202,6 @@ def fit_many_xy(
         y_mean, y_std = _standardize(y, cfg)
         models[metric] = GPModel(space, coords, y, cfg, factor, y_mean, y_std)
     return models
-
-
-def fit(
-    space: ParameterSpace,
-    history: History,
-    metric_name: str,
-    cfg: KernelConfig = KernelConfig(),
-) -> GPModel:
-    """Fit a GP to every observation of one metric in the history."""
-    indices = []
-    values = []
-    for obs in history:
-        if metric_name in obs.metrics:
-            indices.append(obs.set_index)
-            values.append(obs.metrics[metric_name])
-    if not indices:
-        raise ConfigError(f"no observations of metric {metric_name!r}")
-    return fit_xy(space, indices, values, cfg)
 
 
 def predict(

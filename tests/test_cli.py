@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 from importlib import resources
 
 import pytest
@@ -132,15 +133,15 @@ class TestParseConfig:
             parse_config(path)
 
 
-def _expression_config(tmp_path, expression: str) -> str:
+def _synthetic_config(tmp_path, metric: dict) -> str:
+    """Config over a 3x2 grid whose one metric ``m`` is the given block."""
     cfg = {
         "protocol": {"parameters": [{"name": "p", "values": [0, 1, 2]},
                                     {"name": "q", "values": [1, 2]}]},
         "requirement": {"goal": {"metric": "m", "direction": "minimize"}},
         "executor": {
             "kind": "synthetic",
-            "synthetic": {"metrics": {"m": {"expression": expression}},
-                          "noise_std": {}},
+            "synthetic": {"metrics": {"m": metric}, "noise_std": {}},
         },
         "termination": {"max_trials": 5},
     }
@@ -152,7 +153,7 @@ def _expression_config(tmp_path, expression: str) -> str:
 class TestExpressionWhitelist:
     def test_full_grammar_is_accepted(self, tmp_path):
         expr = "-sqrt(z[0] + 1) * 2**z[1] / max(1, pi, e) + +abs(log(2.5))"
-        bundle = parse_config(_expression_config(tmp_path, expr))
+        bundle = parse_config(_synthetic_config(tmp_path, {"expression": expr}))
         table = bundle.executor_block["metrics"]["m"]
         assert table.shape == (6,)
         assert table[0] == pytest.approx(-1.0 / 3.141592653589793 + 0.91629073187)
@@ -169,9 +170,25 @@ class TestExpressionWhitelist:
         "open",
     ])
     def test_disallowed_syntax_is_a_config_error(self, tmp_path, expr):
-        path = _expression_config(tmp_path, expr)
+        path = _synthetic_config(tmp_path, {"expression": expr})
         with pytest.raises(ConfigError, match=r"executor\.synthetic\.metrics\.m"):
             parse_config(path)
+
+    @pytest.mark.parametrize("metric", [
+        {"expression": "9**9**9"},
+        {"expression": "(z[0]+2)**1e9"},
+        {"expression": "1" + "0" * 400 + " * z[0]"},
+        {"table": [1.0, 2.0, float("nan"), 4.0, 5.0, 6.0]},
+        {"table": [1.0, 2.0, 3.0, 4.0, 5.0, float("inf")]},
+    ])
+    def test_overflow_or_non_finite_value_exits_2_at_once(self, tmp_path, capsys,
+                                                          metric):
+        path = _synthetic_config(tmp_path, metric)
+        start = time.perf_counter()
+        code = main(["optimize", path, "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
 
 
 class TestOptimizeCommand:

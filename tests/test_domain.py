@@ -181,15 +181,6 @@ class TestObservationsAndHistory:
         with pytest.raises(ConfigError, match="missing metrics"):
             h.append(Observation(1, 0, {"energy": 1.0}))
 
-    def test_grouping_cache(self):
-        h = History()
-        h.append(Observation(1, 2, {"m": 1.0}))
-        h.append(Observation(2, 2, {"m": 3.0}))
-        h.append(Observation(3, 1, {"m": 5.0}))
-        assert h.count(2) == 2
-        assert h.counts() == {2: 2, 1: 1}
-        assert h.observed_sets() == (1, 2)
-
 
 class TestTermination:
     def test_at_least_one_criterion(self):

@@ -344,3 +344,50 @@ class TestMultiConstraintBeta:
         beta_delay = robustness_beta([90.0, 120.0, 95.0, 130.0], canon.constraints[1])
         assert beta_delay < beta_prr
         assert analysis.beta == pytest.approx(min(beta_prr, beta_delay))
+
+
+class TestGoalMetricAlsoConstrained:
+    """One metric as goal and as a constraint of the opposite sign, with odd
+    and even per-set counts: every per-set statistic equals numpy's."""
+
+    TRIAL_SETS = (0, 1, 2, 0, 1, 3, 2, 0, 1, 1)
+
+    @pytest.mark.parametrize("direction, relation, bound, values", [
+        ("minimize", ">=", 150.0,
+         (140.0, 151.5, 130.0, 165.0, 120.0, 170.0, 145.0, 155.0, 149.0, 160.3)),
+        ("maximize", "<=", 90.0,
+         (95.0, 91.0, 99.0, 80.0, 89.0, 60.0, 92.0, 85.0, 70.0, 93.7)),
+    ])
+    def test_medians_split_and_beta_match_numpy(self, crystal_space, direction,
+                                                relation, bound, values):
+        from apexopt.confidence import robustness_beta
+        from apexopt.domain import Observation
+
+        req = Requirement(
+            goal=MetricSpec("m", direction),
+            constraints=(ConstraintSpec("m", relation, bound, 0.5),),
+        )
+        canon = canonicalize(req)
+        assert canon.goal_sign == -canon.constraints[0].sign
+        state = AnalysisState(crystal_space, req, EngineConfig.delta, KernelConfig())
+        raw: dict[int, list[float]] = {}
+        for k, (idx, value) in enumerate(zip(self.TRIAL_SETS, values), start=1):
+            raw.setdefault(idx, []).append(value)
+            analysis = state.update(Observation(k, idx, {"m": value}))
+            medians = {i: np.median(v) for i, v in raw.items()}
+            assert analysis.counts == {i: len(v) for i, v in raw.items()}
+            for i, med in medians.items():
+                assert analysis.goal_medians[i] == canon.goal_sign * med
+            ok = {i for i, med in medians.items()
+                  if (med >= bound if relation == ">=" else med <= bound)}
+            assert analysis.d_satisfying == tuple(sorted(ok))
+            assert analysis.d_violating == tuple(sorted(set(raw) - ok))
+            reported = analysis.reported_index
+            if reported is None:
+                assert analysis.beta == 0.0
+                continue
+            assert analysis.reported_goal_median == medians[reported]
+            assert analysis.beta == robustness_beta(raw[reported],
+                                                    canon.constraints[0])
+        assert sorted(len(v) for v in raw.values()) == [1, 2, 3, 4]
+        assert analysis.d_violating == (2,)

@@ -195,6 +195,12 @@ class TestRemote:
         with pytest.raises(RemoteProtocolError):
             remote_trial(cfg, {})
 
+    def test_non_finite_metrics_are_protocol_error(self, mock_testbed):
+        base = mock_testbed(metrics={"energy": float("nan"), "prr": 92.0})
+        cfg = RemoteConfig(endpoint=base, poll_interval=0.01, trial_duration=0.1)
+        with pytest.raises(RemoteProtocolError, match="non-finite.*energy"):
+            remote_trial(cfg, {"tx_power": -5})
+
     def test_default_timeout_is_twice_trial_duration(self):
         cfg = RemoteConfig(endpoint="http://x", trial_duration=600.0)
         assert cfg.effective_timeout == 1200.0
@@ -244,6 +250,24 @@ class TestDatasetIO:
         path.write_text(json.dumps(header) + "\n" + json.dumps(rec) + "\n")
         with pytest.raises(DatasetFormatError, match="not allowed"):
             load_dataset(path)
+
+
+    @pytest.mark.parametrize("name, text, reason", [
+        ("nan.jsonl", '{"params": {"p": 0}, "metrics": {"m": 1.0}}\n'
+                      '{"params": {"p": 1}, "metrics": {"m": NaN}}\n', "non-finite"),
+        ("inf.jsonl", '{"params": {"p": 0}, "metrics": {"m": -Infinity}}\n',
+         "non-finite"),
+        ("nan.csv", "param:p,metric:m\n0,1.0\n1,nan\n", "non-finite"),
+        ("text.jsonl", '{"params": {"p": 0}, "metrics": {"m": "high"}}\n',
+         "metrics must map names to numbers"),
+    ])
+    def test_bad_metric_value_rejected_with_its_line(self, tmp_path, name, text,
+                                                     reason):
+        path = tmp_path / name
+        path.write_text(text)
+        line = len(text.splitlines())
+        with pytest.raises(DatasetFormatError, match=f"{name}:{line}: {reason}"):
+            load_dataset(path, make_line_space(2))
 
 
 class TestValidateDataset:

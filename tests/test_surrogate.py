@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from apexopt.domain import History, Observation, ParameterDef, ParameterSpace
+from apexopt.domain import ParameterDef, ParameterSpace
 from apexopt.surrogate import (
     KernelConfig,
-    fit,
     fit_many_xy,
     fit_xy,
     kernel,
@@ -111,13 +110,6 @@ class TestFitPredict:
         model = fit_xy(crystal_space, [3, 3], [10.0, 10.0], cfg)
         mean, _ = predict(model, 3)
         assert mean == pytest.approx(10.0, abs=1e-3)
-
-    def test_fit_from_history(self, crystal_space):
-        h = History()
-        h.append(Observation(1, 2, {"energy": 150.0, "prr": 70.0}))
-        h.append(Observation(2, 7, {"energy": 160.0, "prr": 90.0}))
-        model = fit(crystal_space, h, "energy")
-        assert model.n_train == 2
 
     def test_six_point_fit_matches_oracle(self, crystal_space):
         cfg = KernelConfig()
