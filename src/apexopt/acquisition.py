@@ -128,22 +128,20 @@ def coefficient_of_variation(mean: float, std: float) -> float:
 
 @dataclass
 class NtsState:
-    """Running acquisition maxima and the alternating escape mode.
+    """Running maximum of the trap score and the alternating escape mode.
 
-    The maxima grow monotonically over one optimization run; the trap
-    thresholds are a tenth of the current maxima. The escape mode starts
-    at the goal-outlier procedure and flips on every trapped iteration.
+    A run uses one acquisition rule, so it tracks one score: EI, or the
+    coefficient of variation for LCB. The maximum grows monotonically
+    over one optimization run; the trap threshold is a tenth of it. The
+    escape mode starts at the goal-outlier procedure and flips on every
+    trapped iteration.
     """
 
-    ei_max: float = 0.0
-    cv_max: float = 0.0
+    score_max: float = 0.0
     escape_mode: str = ESCAPE_GOAL
 
-    def observe_ei(self, score: float) -> None:
-        self.ei_max = max(self.ei_max, score)
-
-    def observe_cv(self, score: float) -> None:
-        self.cv_max = max(self.cv_max, score)
+    def observe(self, score: float) -> None:
+        self.score_max = max(self.score_max, score)
 
     def next_escape(self) -> str:
         mode = self.escape_mode
@@ -153,17 +151,13 @@ class NtsState:
         return mode
 
 
-def detect_trap(state: NtsState, chosen_score: float, kind: str) -> bool:
+def detect_trap(state: NtsState, chosen_score: float) -> bool:
     """True when the chosen score dropped below a tenth of its running max.
 
     The running maximum must already include the current score, so the
     first iteration can never trip its own threshold.
     """
-    if kind == "ei":
-        return chosen_score < state.ei_max * TRAP_FRACTION
-    if kind == "cv":
-        return chosen_score < state.cv_max * TRAP_FRACTION
-    raise ValueError(f"unknown trap score kind {kind!r}")
+    return chosen_score < state.score_max * TRAP_FRACTION
 
 
 def escape_goal_outlier(

@@ -71,6 +71,13 @@ def _random_choice(pool: np.ndarray, rng: np.random.Generator) -> int:
     return int(pool[rng.integers(pool.size)])
 
 
+def _random_fallback(fallback_pool: Iterable[int], rng: np.random.Generator) -> int:
+    fallback = _sorted_pool(fallback_pool)
+    if fallback.size == 0:
+        raise ConfigError("no candidate sets available")
+    return _random_choice(fallback, rng)
+
+
 def gel_select(
     g_n: SurrogateLite,
     candidates: Iterable[int],
@@ -84,10 +91,7 @@ def gel_select(
     """
     pool = _sorted_pool(candidates)
     if pool.size == 0 or not g_n.fitted:
-        fallback = _sorted_pool(fallback_pool)
-        if fallback.size == 0:
-            raise ConfigError("no candidate sets available")
-        return _random_choice(fallback, rng)
+        return _random_fallback(fallback_pool, rng)
     return int(pool[np.argmin(g_n.predict(pool))])
 
 
@@ -151,12 +155,15 @@ def guc_select(
     candidates: Iterable[int],
     space: ParameterSpace,
     rng: np.random.Generator,
+    fallback_pool: Iterable[int],
 ) -> int:
-    """Pick the most uncertain region, then the best fitted value within it."""
+    """Pick the most uncertain region, then the best fitted value within it.
+
+    With no candidate a uniform random set is drawn from the fallback pool.
+    """
     pool = _sorted_pool(candidates)
     if pool.size == 0:
-        all_sets = np.arange(space.n_sets)
-        return _random_choice(all_sets, rng)
+        return _random_fallback(fallback_pool, rng)
     zeta = uncertainty_scores(space, counts, pool)
     most_uncertain = pool[zeta == zeta.max()]
     if not g_n.fitted:

@@ -47,11 +47,10 @@ from apexopt.evalharness import CampaignSpec, run_campaign
 from apexopt.executor import (
     ExecutorError,
     RemoteConfig,
-    RemoteExecutor,
-    ReplayExecutor,
-    SyntheticExecutor,
     SyntheticSpec,
+    TrialSource,
     load_dataset,
+    make_executor,
     validate_dataset,
 )
 from apexopt.surrogate import KernelConfig
@@ -144,7 +143,7 @@ class ConfigBundle:
         path: Path,
         space: ParameterSpace,
         requirement: Requirement,
-        executor_block: dict,
+        source: TrialSource,
         engine_block: dict,
         termination: TerminationCriteria,
         campaign_block: dict,
@@ -154,7 +153,7 @@ class ConfigBundle:
         self.path = path
         self.space = space
         self.requirement = requirement
-        self.executor_block = executor_block
+        self.source = source
         self.engine_block = engine_block
         self.termination = termination
         self.campaign_block = campaign_block
@@ -183,22 +182,6 @@ class ConfigBundle:
             **eng,
         )
 
-    def build_executor(self, seed: int):
-        kind = self.executor_block["kind"]
-        if kind == "replay":
-            dataset = load_dataset(self.executor_block["path"], self.space)
-            return ReplayExecutor(dataset, seed, self.requirement.metric_names)
-        if kind == "synthetic":
-            return SyntheticExecutor(self._synthetic_spec(), seed)
-        return RemoteExecutor(self.executor_block["remote"], self.space)
-
-    def _synthetic_spec(self) -> SyntheticSpec:
-        return SyntheticSpec(
-            space=self.space,
-            metrics=dict(self.executor_block["metrics"]),
-            noise_std=dict(self.executor_block["noise_std"]),
-        )
-
     def campaign_spec(self, **overrides) -> CampaignSpec:
         eng = self.engine_block
         blk = {
@@ -207,18 +190,12 @@ class ConfigBundle:
             **self.campaign_block,
             **{k: v for k, v in overrides.items() if v is not None},
         }
-        kind = self.executor_block["kind"]
-        if kind == "replay":
-            dataset = load_dataset(self.executor_block["path"], self.space)
-            source = {"dataset": dataset}
-        elif kind == "synthetic":
-            source = {"synthetic": self._synthetic_spec()}
-        else:
+        if isinstance(self.source, RemoteConfig):
             raise ConfigError(
                 "campaign: executor.kind must be 'replay' or 'synthetic'"
             )
         return CampaignSpec(
-            requirement=self.requirement, engine=eng, **blk, **source
+            requirement=self.requirement, source=self.source, engine=eng, **blk
         )
 
 
@@ -282,14 +259,13 @@ def parse_config(path: str | Path) -> ConfigBundle:
                 percentile=_get(c, "percentile", cpath, float, 0.5),
             )
         )
-    _check_constraint_consistency(constraints)
     requirement = Requirement(
         goal=goal,
         constraints=tuple(constraints),
         confidence_target=_get(req_block, "confidence_target", "requirement", float),
     )
 
-    executor_block = _parse_executor(
+    source = _parse_executor(
         _as_mapping(root.get("executor"), "executor"), path.parent, space
     )
     engine_block = _parse_engine(_as_mapping(root.get("engine"), "engine"), space)
@@ -304,7 +280,7 @@ def parse_config(path: str | Path) -> ConfigBundle:
         path=path,
         space=space,
         requirement=requirement,
-        executor_block=executor_block,
+        source=source,
         engine_block=engine_block,
         termination=termination,
         campaign_block=campaign_block,
@@ -313,25 +289,10 @@ def parse_config(path: str | Path) -> ConfigBundle:
     )
 
 
-def _check_constraint_consistency(constraints: Sequence[ConstraintSpec]) -> None:
-    """Reject constraint pairs on one metric that no value can satisfy."""
-    lower: dict[str, float] = {}
-    upper: dict[str, float] = {}
-    for c in constraints:
-        if c.relation == ">=":
-            lower[c.metric] = max(lower.get(c.metric, -math.inf), c.bound)
-        else:
-            upper[c.metric] = min(upper.get(c.metric, math.inf), c.bound)
-    for metric in set(lower) & set(upper):
-        if lower[metric] > upper[metric]:
-            _fail(
-                "requirement.constraints",
-                f"metric {metric!r} requires >= {lower[metric]} and "
-                f"<= {upper[metric]} simultaneously",
-            )
-
-
-def _parse_executor(block: Mapping, base_dir: Path, space: ParameterSpace) -> dict:
+def _parse_executor(
+    block: Mapping, base_dir: Path, space: ParameterSpace
+) -> TrialSource:
+    """The trial source the block describes; a replay dataset is loaded here."""
     _check_keys(block, ["kind", "replay", "synthetic", "remote"], "executor")
     kind = _get(block, "kind", "executor", str, required=True)
     if kind == "replay":
@@ -341,7 +302,7 @@ def _parse_executor(block: Mapping, base_dir: Path, space: ParameterSpace) -> di
         dataset_path = Path(rel)
         if not dataset_path.is_absolute():
             dataset_path = base_dir / dataset_path
-        return {"kind": "replay", "path": dataset_path}
+        return load_dataset(dataset_path, space)
     if kind == "synthetic":
         synth = _as_mapping(block.get("synthetic"), "executor.synthetic")
         _check_keys(synth, ["metrics", "noise_std"], "executor.synthetic")
@@ -366,7 +327,7 @@ def _parse_executor(block: Mapping, base_dir: Path, space: ParameterSpace) -> di
             if name not in tables:
                 _fail(f"executor.synthetic.noise_std.{name}", "unknown metric")
             noise_std[name] = float(std)
-        return {"kind": "synthetic", "metrics": tables, "noise_std": noise_std}
+        return SyntheticSpec(space, tables, noise_std)
     if kind == "remote":
         remote = _as_mapping(block.get("remote"), "executor.remote")
         _check_keys(
@@ -374,14 +335,13 @@ def _parse_executor(block: Mapping, base_dir: Path, space: ParameterSpace) -> di
             ["endpoint", "poll_interval", "trial_duration", "timeout", "http_timeout"],
             "executor.remote",
         )
-        cfg = RemoteConfig(
+        return RemoteConfig(
             endpoint=_get(remote, "endpoint", "executor.remote", str, required=True),
             poll_interval=_get(remote, "poll_interval", "executor.remote", float, 5.0),
             trial_duration=_get(remote, "trial_duration", "executor.remote", float, 600.0),
             timeout=_get(remote, "timeout", "executor.remote", float),
             http_timeout=_get(remote, "http_timeout", "executor.remote", float, 30.0),
         )
-        return {"kind": "remote", "remote": cfg}
     _fail("executor.kind", f"must be 'replay', 'synthetic', or 'remote', got {kind!r}")
 
 
@@ -594,7 +554,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     config = bundle.engine_config(
         seed=args.seed, selector=args.selector, max_trials=args.max_trials
     )
-    executor = bundle.build_executor(config.seed)
+    executor = make_executor(
+        bundle.source, config.space, config.seed, config.requirement.metric_names
+    )
     result = Engine(config, executor).run()
     out_dir = Path(args.out) if args.out else bundle.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)

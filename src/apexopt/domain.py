@@ -239,6 +239,13 @@ class Requirement:
             0.0 <= self.confidence_target <= 1.0
         ):
             raise ConfigError("confidence_target must be in [0, 1]")
+        constrained = [c.metric for c in self.constraints]
+        for metric in constrained:
+            if constrained.count(metric) > 1:
+                raise ConfigError(
+                    f"metric {metric!r} has more than one constraint; "
+                    "at most one constraint per metric is supported"
+                )
         if any(c.metric == self.goal.name for c in self.constraints):
             logger.warning(
                 "goal metric %r also appears as a constraint metric", self.goal.name

@@ -334,11 +334,6 @@ class AnalysisState:
         self.delta = delta
         self.kernel = kernel
         metrics = self.canonical.metric_names
-        constrained = [c.metric for c in self.canonical.constraints]
-        if len(set(constrained)) != len(constrained):
-            raise ConfigError(
-                f"at most one constraint per metric is supported, got {constrained}"
-            )
         self.history = History(required_metrics=metrics)
         self._sorted: dict[int, dict[str, list[float]]] = {}
         self._columns: dict[str, list[float]] = {m: [] for m in metrics}
@@ -607,15 +602,10 @@ class Engine:
         return None
 
     def _select_next(self) -> _Choice:
-        excluded = set(self.executor.unavailable_sets())
-        for _ in range(self.space.n_sets + 2):
-            if len(excluded) >= self.space.n_sets:
-                raise DatasetExhausted("no selectable parameter set remains")
-            choice = self._choose(self.analysis.last, frozenset(excluded))
-            if choice.index not in excluded:
-                return choice
-            excluded.add(choice.index)
-        raise DatasetExhausted("no selectable parameter set remains")
+        excluded = self.executor.unavailable_sets()
+        if len(excluded) >= self.space.n_sets:
+            raise DatasetExhausted("no selectable parameter set remains")
+        return self._choose(self.analysis.last, excluded)
 
     def _execute(self, choice: _Choice) -> None:
         trial_index = len(self.analysis.history) + 1
@@ -673,6 +663,7 @@ class Engine:
     # -- selection -----------------------------------------------------------
 
     def _choose(self, analysis: Analysis, excluded: frozenset[int]) -> _Choice:
+        """The next set under the configured selector; never an excluded one."""
         kind = self.config.selector
         if kind in ("gp-lcb", "ei"):
             return self._choose_gp(analysis, excluded)
@@ -681,12 +672,14 @@ class Engine:
         if kind in RL_SELECTORS:
             return _Choice(self._policy.propose(self._policy.state, excluded), kind)
         g_n = baselines.SurrogateLite.fit(self.space, analysis.goal_medians)
+        open_sets = [i for i in range(self.space.n_sets) if i not in excluded]
         if kind == "gel":
             pool = [i for i in analysis.d_satisfying if i not in excluded]
-            fallback = [i for i in range(self.space.n_sets) if i not in excluded]
-            return _Choice(baselines.gel_select(g_n, pool, self.rng, fallback), kind)
+            return _Choice(baselines.gel_select(g_n, pool, self.rng, open_sets), kind)
         pool = [i for i in analysis.d_n if i not in excluded]
-        sel = baselines.guc_select(analysis.counts, g_n, pool, self.space, self.rng)
+        sel = baselines.guc_select(
+            analysis.counts, g_n, pool, self.space, self.rng, open_sets
+        )
         return _Choice(sel, kind)
 
     def _choose_gp(self, analysis: Analysis, excluded: frozenset[int]) -> _Choice:
@@ -698,13 +691,8 @@ class Engine:
                 self._random_open_set(excluded), "random"
             )
         sel, score = self._select(analysis, pool)
-        if kind == "gp-lcb":
-            self.nts_state.observe_cv(score)
-            trapped = acquisition.detect_trap(self.nts_state, score, "cv")
-        else:
-            self.nts_state.observe_ei(score)
-            trapped = acquisition.detect_trap(self.nts_state, score, "ei")
-        if not trapped:
+        self.nts_state.observe(score)
+        if not acquisition.detect_trap(self.nts_state, score):
             return _Choice(sel, kind)
         mode = self.nts_state.next_escape()
         if mode == acquisition.ESCAPE_GOAL:

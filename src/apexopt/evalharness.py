@@ -35,47 +35,37 @@ from apexopt.domain import (
 )
 from apexopt.engine import Engine, EngineConfig, normalize_selector
 from apexopt.executor import (
-    ReplayExecutor,
-    SyntheticExecutor,
     SyntheticSpec,
+    TableSource,
     TraceDataset,
+    make_executor,
 )
 
 APPROACHES = ("apex-lcb", "apex-ei", "gel", "ger", "guc", "rl-step", "rl-any")
 
-Source = Union[TraceDataset, SyntheticSpec]
-
-
-def _true_table(source: Source, metric: str) -> np.ndarray:
-    """Per-set ground-truth values: record medians, or noiseless landscape."""
-    if isinstance(source, SyntheticSpec):
-        return source.table(metric)
-    out = np.full(source.space.n_sets, np.nan)
-    for idx in range(source.space.n_sets):
-        values = source.values(idx, metric)
-        if values:
-            out[idx] = np.median(values)
-    return out
-
 
 def ground_truth_satisfying(
-    source: Source, requirement: Requirement | CanonicalForm
+    source: TableSource, requirement: Requirement | CanonicalForm
 ) -> tuple[int, ...]:
-    """Sets whose true constraint values satisfy every constraint."""
+    """Sets whose true constraint values satisfy every constraint.
+
+    True values are the source's per-set tables: record medians of a
+    dataset, or the noiseless synthetic landscape.
+    """
     canonical = canonicalize(requirement)
     space = source.space
     ok = np.ones(space.n_sets, dtype=bool)
     for c in canonical.constraints:
-        table = _true_table(source, c.metric)
+        table = source.table(c.metric)
         ok &= ~np.isnan(table) & (c.sign * table <= c.bound)
     if not canonical.constraints:
-        goal = _true_table(source, canonical.goal_metric)
+        goal = source.table(canonical.goal_metric)
         ok &= ~np.isnan(goal)
     return tuple(int(i) for i in np.flatnonzero(ok))
 
 
 def ground_truth_optimal(
-    source: Source, requirement: Requirement | CanonicalForm
+    source: TableSource, requirement: Requirement | CanonicalForm
 ) -> int | None:
     """The satisfying set with the best true median goal; None if no set
     satisfies the constraints (constraint-finding mode)."""
@@ -83,7 +73,7 @@ def ground_truth_optimal(
     satisfying = ground_truth_satisfying(source, requirement)
     if not satisfying:
         return None
-    goal = canonical.goal_sign * _true_table(source, canonical.goal_metric)
+    goal = canonical.goal_sign * source.table(canonical.goal_metric)
     cand = np.asarray(satisfying, dtype=int)
     return int(cand[np.argmin(goal[cand])])
 
@@ -92,8 +82,7 @@ def ground_truth_optimal(
 class CampaignSpec:
     requirement: Requirement
     approach: str
-    dataset: TraceDataset | None = None
-    synthetic: SyntheticSpec | None = None
+    source: TableSource
     iterations: int = 1000
     max_trials: int | None = None
     base_seed: int = 0
@@ -104,14 +93,17 @@ class CampaignSpec:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if (self.dataset is None) == (self.synthetic is None):
-            raise ConfigError("specify exactly one of dataset or synthetic")
+        if not isinstance(self.source, (TraceDataset, SyntheticSpec)):
+            raise ConfigError(
+                "campaign source must be a TraceDataset or a SyntheticSpec, "
+                f"got {type(self.source).__name__}"
+            )
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
         normalize_selector(self.approach)
         if self.max_trials is None:
-            if self.dataset is not None:
-                self.max_trials = self.dataset.n_records
+            if isinstance(self.source, TraceDataset):
+                self.max_trials = self.source.n_records
             else:
                 self.max_trials = 6 * self.source.space.n_sets
         if self.max_trials < 1:
@@ -120,10 +112,6 @@ class CampaignSpec:
             raise ConfigError("bins must be >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-
-    @property
-    def source(self) -> Source:
-        return self.dataset if self.dataset is not None else self.synthetic
 
 
 @dataclass
@@ -142,11 +130,7 @@ class _IterationOutcome:
 def _run_iteration(spec: CampaignSpec, iteration: int) -> _IterationOutcome:
     seed = spec.base_seed + iteration
     space = spec.source.space
-    required = spec.requirement.metric_names
-    if spec.dataset is not None:
-        executor = ReplayExecutor(spec.dataset, seed, required)
-    else:
-        executor = SyntheticExecutor(spec.synthetic, seed)
+    executor = make_executor(spec.source, space, seed, spec.requirement.metric_names)
     cfg = EngineConfig(
         space=space,
         requirement=spec.requirement,
@@ -279,7 +263,7 @@ def constraint_discovery_curve(
     return curve, (int(crossed[0]) + 1 if crossed.size else None)
 
 
-def _goal_span(source: Source, goal_metric: str) -> tuple[float, float]:
+def _goal_span(source: TableSource, goal_metric: str) -> tuple[float, float]:
     if isinstance(source, SyntheticSpec):
         table = source.table(goal_metric)
         return float(np.min(table)), float(np.max(table))

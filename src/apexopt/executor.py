@@ -7,11 +7,14 @@ backends:
   replacement; once a set's records are used up it is exhausted and the
   engine must move on. Requests for sets that were never recorded are
   served by the nearest recorded set (consuming its budget).
-* synthetic: deterministic landscape plus seeded Gaussian noise, keyed by
-  (seed, trial index, metric) so metric streams are independent and runs
-  are reproducible.
+* synthetic: a table of one value per set plus seeded Gaussian noise,
+  keyed by (seed, trial index, metric) so metric streams are independent
+  and runs are reproducible.
 * remote: a blocking HTTP client for a job-queue style testbed API
   (POST /jobs, poll GET /jobs/{id}, fetch GET /jobs/{id}/metrics).
+
+``make_executor`` builds the backend for a trial source: a loaded
+``TraceDataset``, a ``SyntheticSpec`` or a ``RemoteConfig``.
 
 Dataset files are JSON Lines with a leading header object declaring the
 parameter space, one record per line:
@@ -34,7 +37,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 import requests
@@ -127,6 +130,15 @@ class TraceDataset:
 
     def values(self, set_index: int, metric: str) -> list[float]:
         return [r.metrics[metric] for r in self.records_by_set[set_index]]
+
+    def table(self, metric: str) -> np.ndarray:
+        """Per-set median of the recorded values; NaN for an unrecorded set."""
+        out = np.full(self.space.n_sets, np.nan)
+        for idx in range(self.space.n_sets):
+            values = self.values(idx, metric)
+            if values:
+                out[idx] = np.median(values)
+        return out
 
 
 def _nonfinite(metrics: Mapping[str, float]) -> list[str]:
@@ -298,68 +310,15 @@ def save_dataset(dataset: TraceDataset, path: Union[str, Path],
                 )
 
 
-@dataclass
-class ReplayState:
-    """Per-run bookkeeping: which records are still unconsumed."""
-
-    remaining: list[list[int]]
-    rng: np.random.Generator
-    consumed: list[tuple[int, int]] = field(default_factory=list)
-
-    @classmethod
-    def fresh(cls, dataset: TraceDataset, seed: int) -> "ReplayState":
-        return cls(
-            remaining=[list(range(len(g))) for g in dataset.records_by_set],
-            rng=np.random.default_rng(seed),
-        )
-
-
-def _draw_record(
-    dataset: TraceDataset, state: ReplayState, set_index: int
-) -> TraceRecord:
-    pool = state.remaining[set_index]
-    pos = int(state.rng.integers(len(pool)))
-    rec_idx = pool.pop(pos)
-    state.consumed.append((set_index, rec_idx))
-    return dataset.records_by_set[set_index][rec_idx]
-
-
-def replay_trial(
-    dataset: TraceDataset,
-    state: ReplayState,
-    set_index: int,
-    trial_index: int,
-) -> Observation:
-    """One replayed trial: draw an unconsumed record without replacement.
-
-    A set with records but none left raises SetExhausted so the engine can
-    move to its next-best option. A set that was never recorded is served
-    by the nearest recorded set (normalized distance, lowest index on
-    ties), consuming that donor's budget.
-    """
-    has_records = len(dataset.records_by_set[set_index]) > 0
-    if has_records:
-        if not state.remaining[set_index]:
-            raise SetExhausted(set_index)
-        rec = _draw_record(dataset, state, set_index)
-        return Observation(trial_index, set_index, rec.metrics)
-    donors = [
-        i
-        for i in range(dataset.space.n_sets)
-        if dataset.records_by_set[i] and state.remaining[i]
-    ]
-    if not donors:
-        raise DatasetExhausted("no unconsumed records remain in the dataset")
-    coords = dataset.space.normalized_all()
-    target = coords[set_index]
-    distances = np.linalg.norm(coords[donors] - target, axis=1)
-    donor = donors[int(np.argmin(distances))]
-    rec = _draw_record(dataset, state, donor)
-    return Observation(trial_index, set_index, rec.metrics)
-
-
 class ReplayExecutor:
-    """Engine-facing wrapper around a dataset and one run's replay state."""
+    """One run's replay of a dataset: each trial draws an unconsumed record.
+
+    Records are drawn without replacement. A set with records but none
+    left raises SetExhausted so the engine can move to its next-best
+    option. A set that was never recorded is served by the nearest
+    recorded set (normalized distance, lowest index on ties), consuming
+    that donor's budget.
+    """
 
     def __init__(
         self,
@@ -375,122 +334,107 @@ class ReplayExecutor:
                         f"set {idx} record {rec.run_id!r} missing metrics {missing}"
                     )
         self.dataset = dataset
-        self.state = ReplayState.fresh(dataset, seed)
-
-    @property
-    def space(self) -> ParameterSpace:
-        return self.dataset.space
+        self._remaining = [list(range(len(g))) for g in dataset.records_by_set]
+        self._rng = np.random.default_rng(seed)
+        self._consumed: list[tuple[int, int]] = []
 
     def run_trial(self, set_index: int, trial_index: int) -> Observation:
-        return replay_trial(self.dataset, self.state, set_index, trial_index)
+        records = self.dataset.records_by_set
+        donor = set_index
+        if not records[set_index]:
+            donors = [
+                i for i in range(len(records)) if records[i] and self._remaining[i]
+            ]
+            if not donors:
+                raise DatasetExhausted("no unconsumed records remain in the dataset")
+            coords = self.dataset.space.normalized_all()
+            distances = np.linalg.norm(coords[donors] - coords[set_index], axis=1)
+            donor = donors[int(np.argmin(distances))]
+        elif not self._remaining[set_index]:
+            raise SetExhausted(set_index)
+        pool = self._remaining[donor]
+        rec_idx = pool.pop(int(self._rng.integers(len(pool))))
+        self._consumed.append((donor, rec_idx))
+        return Observation(trial_index, set_index, records[donor][rec_idx].metrics)
 
     def unavailable_sets(self) -> frozenset[int]:
-        """Sets the engine should not select: exhausted, or unservable."""
-        out = set()
-        any_remaining = any(
-            self.dataset.records_by_set[i] and self.state.remaining[i]
-            for i in range(self.space.n_sets)
-        )
-        for i in range(self.space.n_sets):
-            if self.dataset.records_by_set[i]:
-                if not self.state.remaining[i]:
-                    out.add(i)
-            elif not any_remaining:
-                out.add(i)
-        return frozenset(out)
+        """Sets the engine should not select: exhausted, or unservable.
+
+        An unrecorded set borrows from recorded ones, so it closes only
+        when every recorded set is exhausted.
+        """
+        records = self.dataset.records_by_set
+        exhausted = {i for i, g in enumerate(records) if g and not self._remaining[i]}
+        if len(exhausted) < sum(1 for g in records if g):
+            return frozenset(exhausted)
+        return frozenset(range(len(records)))
 
     @property
     def consumed(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self.state.consumed)
-
-
-Landscape = Union[Callable[[np.ndarray], float], Sequence[float], np.ndarray]
+        return tuple(self._consumed)
 
 
 @dataclass
 class SyntheticSpec:
-    """Noiseless metric landscapes over the space plus per-metric noise.
+    """Noiseless metric tables over the space plus per-metric noise.
 
-    Each landscape is either a table of one value per set (index order) or
-    a callable over normalized coordinates.
+    Each table holds one value per set, in index order.
     """
 
     space: ParameterSpace
-    metrics: dict[str, Landscape]
+    metrics: dict[str, np.ndarray]
     noise_std: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name, land in self.metrics.items():
-            if not callable(land):
-                table = np.asarray(land, dtype=float)
-                if table.shape != (self.space.n_sets,):
-                    raise ConfigError(
-                        f"synthetic metric {name!r}: table must have one value "
-                        f"per set ({self.space.n_sets}), got shape {table.shape}"
-                    )
-                bad = np.flatnonzero(~np.isfinite(table))
-                if bad.size:
-                    raise ConfigError(
-                        f"synthetic metric {name!r}: value {table[bad[0]]} at set "
-                        f"{bad[0]} is not finite"
-                    )
-                self.metrics[name] = table
+        for name, values in self.metrics.items():
+            table = np.asarray(values, dtype=float)
+            if table.shape != (self.space.n_sets,):
+                raise ConfigError(
+                    f"synthetic metric {name!r}: table must have one value "
+                    f"per set ({self.space.n_sets}), got shape {table.shape}"
+                )
+            bad = np.flatnonzero(~np.isfinite(table))
+            if bad.size:
+                raise ConfigError(
+                    f"synthetic metric {name!r}: value {table[bad[0]]} at set "
+                    f"{bad[0]} is not finite"
+                )
+            self.metrics[name] = table
         for name, std in self.noise_std.items():
             if std < 0:
                 raise ConfigError(f"noise std for {name!r} must be >= 0")
 
-    def value(self, metric: str, set_index: int) -> float:
-        land = self.metrics[metric]
-        if callable(land):
-            return float(land(self.space.normalized(set_index)))
-        return float(land[set_index])
-
     def table(self, metric: str) -> np.ndarray:
-        land = self.metrics[metric]
-        if callable(land):
-            return np.array(
-                [land(self.space.normalized(i)) for i in range(self.space.n_sets)],
-                dtype=float,
-            )
-        return np.asarray(land, dtype=float)
+        return self.metrics[metric]
 
 
 def _metric_stream_key(metric: str) -> int:
     return int.from_bytes(hashlib.sha256(metric.encode()).digest()[:8], "big")
 
 
-def synthetic_trial(
-    spec: SyntheticSpec, set_index: int, trial_index: int, seed: int
-) -> Observation:
-    """Landscape value plus Gaussian noise, reproducible from the seed.
+class SyntheticExecutor:
+    """Table value plus Gaussian noise, reproducible from the seed.
 
     Noise draws are keyed by (seed, trial index, metric name) so metric
     streams are independent and replays are bit-identical.
     """
-    metrics = {}
-    for name in spec.metrics:
-        value = spec.value(name, set_index)
-        std = spec.noise_std.get(name, 0.0)
-        if std > 0.0:
-            rng = np.random.default_rng(
-                [seed, trial_index, _metric_stream_key(name)]
-            )
-            value += std * rng.standard_normal()
-        metrics[name] = value
-    return Observation(trial_index, set_index, metrics)
 
-
-class SyntheticExecutor:
     def __init__(self, spec: SyntheticSpec, seed: int):
         self.spec = spec
         self.seed = seed
 
-    @property
-    def space(self) -> ParameterSpace:
-        return self.spec.space
-
     def run_trial(self, set_index: int, trial_index: int) -> Observation:
-        return synthetic_trial(self.spec, set_index, trial_index, self.seed)
+        metrics = {}
+        for name, table in self.spec.metrics.items():
+            value = float(table[set_index])
+            std = self.spec.noise_std.get(name, 0.0)
+            if std > 0.0:
+                rng = np.random.default_rng(
+                    [self.seed, trial_index, _metric_stream_key(name)]
+                )
+                value += std * rng.standard_normal()
+            metrics[name] = value
+        return Observation(trial_index, set_index, metrics)
 
     def unavailable_sets(self) -> frozenset[int]:
         return frozenset()
@@ -567,17 +511,32 @@ class RemoteExecutor:
         self.cfg = cfg
         self._space = space
 
-    @property
-    def space(self) -> ParameterSpace:
-        return self._space
-
     def run_trial(self, set_index: int, trial_index: int) -> Observation:
         params = self._space.set_at(set_index).as_dict(self._space)
-        metrics = remote_trial(self.cfg, params)
-        return Observation(trial_index, set_index, metrics)
+        return Observation(trial_index, set_index, remote_trial(self.cfg, params))
 
     def unavailable_sets(self) -> frozenset[int]:
         return frozenset()
+
+
+# Where a run's trials come from: a campaign needs the per-set tables of a
+# replay dataset or synthetic landscape; a single run may also use a testbed.
+TableSource = Union[TraceDataset, SyntheticSpec]
+TrialSource = Union[TraceDataset, SyntheticSpec, RemoteConfig]
+
+
+def make_executor(
+    source: TrialSource,
+    space: ParameterSpace,
+    seed: int,
+    required_metrics: Sequence[str] = (),
+):
+    """A fresh executor for one run, holding all of that run's state."""
+    if isinstance(source, TraceDataset):
+        return ReplayExecutor(source, seed, required_metrics)
+    if isinstance(source, SyntheticSpec):
+        return SyntheticExecutor(source, seed)
+    return RemoteExecutor(source, space)
 
 
 @dataclass

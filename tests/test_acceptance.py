@@ -91,7 +91,7 @@ def planted_campaigns():
         spec = CampaignSpec(
             requirement=_campaign_requirement(),
             approach=approach,
-            synthetic=SyntheticSpec(
+            source=SyntheticSpec(
                 space,
                 {"latency": GOAL_TABLE.copy(), "quality": QUALITY_TABLE.copy()},
                 {"latency": GOAL_NOISE, "quality": QUALITY_NOISE},
@@ -418,7 +418,7 @@ class TestReleasedTracesOrdering:
             spec = CampaignSpec(
                 requirement=requirement,
                 approach=approach,
-                dataset=dataset,
+                source=dataset,
                 iterations=iterations,
                 max_trials=dataset.n_records,
                 base_seed=0,

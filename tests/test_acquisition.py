@@ -123,9 +123,9 @@ class TestSelectEi:
         # and the zero score trips a previously-raised running maximum.
         ei = ei_values(np.array([5.0, 6.0, 7.0]), np.zeros(3), 4.0)
         assert np.all(ei == 0.0)
-        state = NtsState(ei_max=1.0)
-        state.observe_ei(0.0)
-        assert detect_trap(state, 0.0, "ei")
+        state = NtsState(score_max=1.0)
+        state.observe(0.0)
+        assert detect_trap(state, 0.0)
 
     def test_matches_exhaustive_scan(self, crystal_space):
         model = toy_model(crystal_space, seed=9)
@@ -154,26 +154,26 @@ class TestSelectEi:
 class TestTrapDetection:
     def test_first_iteration_never_trips(self):
         state = NtsState()
-        state.observe_ei(0.42)
-        assert not detect_trap(state, 0.42, "ei")
+        state.observe(0.42)
+        assert not detect_trap(state, 0.42)
         state2 = NtsState()
-        state2.observe_cv(0.0)
-        assert not detect_trap(state2, 0.0, "cv")
+        state2.observe(0.0)
+        assert not detect_trap(state2, 0.0)
 
     def test_ei_below_tenth_of_running_max(self):
         state = NtsState()
-        state.observe_ei(1.0)
-        state.observe_ei(0.05)
-        assert detect_trap(state, 0.05, "ei")
+        state.observe(1.0)
+        state.observe(0.05)
+        assert detect_trap(state, 0.05)
 
     def test_cv_threshold_arithmetic(self):
         state = NtsState()
-        state.observe_cv(0.8)
+        state.observe(0.8)
         # A tenth of the running maximum is 0.08: only scores strictly
         # below that trip the trap.
-        state.observe_cv(0.009)
-        assert detect_trap(state, 0.009, "cv")
-        assert not detect_trap(state, 0.09, "cv")
+        state.observe(0.009)
+        assert detect_trap(state, 0.009)
+        assert not detect_trap(state, 0.09)
 
     def test_cv_guard_near_zero_mean(self):
         assert coefficient_of_variation(0.0, 1.0) == pytest.approx(1e9)
@@ -184,9 +184,9 @@ class TestTrapDetection:
         rng = np.random.default_rng(0)
         last = 0.0
         for s in rng.uniform(0, 2, size=50):
-            state.observe_ei(float(s))
-            assert state.ei_max >= last
-            last = state.ei_max
+            state.observe(float(s))
+            assert state.score_max >= last
+            last = state.score_max
 
 
 class TestEscapeGoalOutlier:

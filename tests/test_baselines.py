@@ -116,13 +116,25 @@ class TestGuc:
         np.testing.assert_array_equal(zeta, [-2.0, -1.0, 0.0])
         g = SurrogateLite.fit(space, {0: 5.0})
         rng = np.random.default_rng(0)
-        assert guc_select(counts, g, [0, 1, 2], space, rng) == 2
+        assert guc_select(counts, g, [0, 1, 2], space, rng, range(3)) == 2
 
     def test_cold_start_is_random_but_seeded(self, crystal_space):
         g = SurrogateLite.fit(crystal_space, {})
-        a = guc_select({}, g, range(16), crystal_space, np.random.default_rng(5))
-        b = guc_select({}, g, range(16), crystal_space, np.random.default_rng(5))
+        a = guc_select({}, g, range(16), crystal_space, np.random.default_rng(5),
+                       range(16))
+        b = guc_select({}, g, range(16), crystal_space, np.random.default_rng(5),
+                       range(16))
         assert a == b
+
+    def test_empty_pool_draws_from_fallback(self, crystal_space):
+        g = SurrogateLite.fit(crystal_space, {0: 1.0, 5: 2.0})
+        fallback = [3, 7, 11]
+        picks = {
+            guc_select({0: 1, 5: 1}, g, [], crystal_space,
+                       np.random.default_rng(seed), fallback)
+            for seed in range(30)
+        }
+        assert picks == set(fallback)
 
     def test_corner_sets_have_fewer_neighbors(self, crystal_space):
         assert len(neighbor_indices(crystal_space, 0)) == 2

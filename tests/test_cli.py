@@ -113,7 +113,7 @@ class TestParseConfig:
         path = tmp_path / "synth.yaml"
         path.write_text(yaml.safe_dump(cfg))
         bundle = parse_config(path)
-        tables = bundle.executor_block["metrics"]
+        tables = bundle.source.metrics
         assert list(tables["m"]) == [10.0, 12.5, 15.0]
 
     def test_bad_expression_reported(self, tmp_path):
@@ -154,7 +154,7 @@ class TestExpressionWhitelist:
     def test_full_grammar_is_accepted(self, tmp_path):
         expr = "-sqrt(z[0] + 1) * 2**z[1] / max(1, pi, e) + +abs(log(2.5))"
         bundle = parse_config(_synthetic_config(tmp_path, {"expression": expr}))
-        table = bundle.executor_block["metrics"]["m"]
+        table = bundle.source.metrics["m"]
         assert table.shape == (6,)
         assert table[0] == pytest.approx(-1.0 / 3.141592653589793 + 0.91629073187)
 
@@ -354,17 +354,18 @@ class TestConstraintConsistency:
                 {"metric": "prr", "relation": "<=", "bound": 60},
             ]
 
-        with pytest.raises(ConfigError, match="simultaneously"):
+        with pytest.raises(ConfigError, match="at most one constraint per metric"):
             parse_config(config_file(mutate))
 
-    def test_compatible_box_is_accepted(self, config_file):
+    def test_compatible_box_is_rejected_at_parse(self, config_file):
         def mutate(c):
             c["requirement"]["constraints"] = [
                 {"metric": "prr", "relation": ">=", "bound": 60},
                 {"metric": "prr", "relation": "<=", "bound": 95},
             ]
 
-        parse_config(config_file(mutate))
+        with pytest.raises(ConfigError, match="metric 'prr' has more than one"):
+            parse_config(config_file(mutate))
 
 
 class TestBundledConfigs:

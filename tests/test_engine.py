@@ -226,7 +226,7 @@ class TestEscapes:
                            selector="ei", seed=6)
         eng = Engine(cfg, SyntheticExecutor(spec, 6))
         # Force every post-init selection to look trapped.
-        eng.nts_state.ei_max = 1e9
+        eng.nts_state.score_max = 1e9
         result = eng.run()
         modes = [t.escape_mode for t in result.trials if t.trap]
         assert len(modes) >= 4
@@ -239,7 +239,7 @@ class TestEscapes:
                            termination=TerminationCriteria(max_trials=30),
                            selector="ei", seed=7)
         eng = Engine(cfg, SyntheticExecutor(spec, 7))
-        eng.nts_state.ei_max = 1e9
+        eng.nts_state.score_max = 1e9
         result = eng.run()
         counts = {}
         for t in result.trials:

@@ -26,7 +26,7 @@ from apexopt.evalharness import (
     run_campaign,
 )
 from apexopt.engine import EngineConfig
-from apexopt.executor import SyntheticSpec
+from apexopt.executor import RemoteConfig, SyntheticSpec
 from tests.conftest import fail_fit_on_call, make_dataset
 
 
@@ -147,7 +147,7 @@ class TestRunCampaign:
         spec = CampaignSpec(
             requirement=energy_prr_requirement,
             approach="apex-ei",
-            dataset=planted_dataset,
+            source=planted_dataset,
             iterations=1,
             max_trials=96,
             base_seed=3,
@@ -167,7 +167,7 @@ class TestRunCampaign:
             return CampaignSpec(
                 requirement=energy_prr_requirement,
                 approach="ger",
-                dataset=planted_dataset,
+                source=planted_dataset,
                 iterations=5,
                 max_trials=30,
                 base_seed=0,
@@ -186,7 +186,7 @@ class TestRunCampaign:
             return CampaignSpec(
                 requirement=energy_prr_requirement,
                 approach="ger",
-                dataset=planted_dataset,
+                source=planted_dataset,
                 iterations=4,
                 max_trials=24,
                 base_seed=1,
@@ -205,7 +205,7 @@ class TestRunCampaign:
         spec = CampaignSpec(
             requirement=energy_prr_requirement,
             approach="ger",
-            dataset=planted_dataset,
+            source=planted_dataset,
             iterations=8,
             max_trials=96,
             base_seed=2,
@@ -222,7 +222,7 @@ class TestRunCampaign:
         spec = CampaignSpec(
             requirement=energy_prr_requirement,
             approach="ger",
-            dataset=small,
+            source=small,
             iterations=3,
             max_trials=30,  # beyond the 16 available records
             base_seed=0,
@@ -236,7 +236,7 @@ class TestRunCampaign:
         spec = CampaignSpec(
             requirement=energy_prr_requirement,
             approach="apex-lcb",
-            dataset=planted_dataset,
+            source=planted_dataset,
             iterations=3,
             max_trials=20,
             base_seed=5,
@@ -251,7 +251,7 @@ class TestRunCampaign:
         spec = CampaignSpec(
             requirement=energy_prr_requirement,
             approach="apex-ei",
-            dataset=planted_dataset,
+            source=planted_dataset,
             iterations=4,
             max_trials=30,
             base_seed=7,
@@ -268,8 +268,8 @@ class TestRunCampaign:
         spec = CampaignSpec(
             requirement=energy_prr_requirement,
             approach="apex-ei",
-            synthetic=SyntheticSpec(crystal_space, {"energy": energy, "prr": prr},
-                                    {"energy": 1.0}),
+            source=SyntheticSpec(crystal_space, {"energy": energy, "prr": prr},
+                                 {"energy": 1.0}),
             iterations=2,
             max_trials=20,
             base_seed=0,
@@ -280,16 +280,17 @@ class TestRunCampaign:
 
     def test_spec_requires_exactly_one_source(self, energy_prr_requirement,
                                               planted_dataset):
-        with pytest.raises(ConfigError):
-            CampaignSpec(requirement=energy_prr_requirement, approach="ger",
-                         iterations=1)
+        for source in (None, RemoteConfig(endpoint="http://localhost:1")):
+            with pytest.raises(ConfigError, match="campaign source"):
+                CampaignSpec(requirement=energy_prr_requirement, approach="ger",
+                             source=source, iterations=1)
 
 
     def test_fit_error_counts_as_one_failed_iteration(self, planted_dataset,
                                                       energy_prr_requirement,
                                                       monkeypatch):
         spec = CampaignSpec(requirement=energy_prr_requirement, approach="apex-lcb",
-                            dataset=planted_dataset, iterations=3, max_trials=20,
+                            source=planted_dataset, iterations=3, max_trials=20,
                             base_seed=0)
         fail_fit_on_call(monkeypatch, 25)  # inside iteration 1
         result = run_campaign(spec)
@@ -347,6 +348,18 @@ def test_campaign_engine_config_matches_optimize(config, tmp_path, monkeypatch):
             assert got == want, f.name
 
 
+@pytest.mark.parametrize("approach", evalharness.APPROACHES)
+def test_full_budget_replay_campaign_completes(approach):
+    # At budget = record count every record is drawn, so each selector must
+    # keep choosing open sets until the dataset is used up.
+    bundle = parse_config(resources.files("apexopt.data") / "crystal_replay.yaml")
+    spec = bundle.campaign_spec(approach=approach, iterations=5, base_seed=0,
+                                max_trials=bundle.source.n_records)
+    result = run_campaign(spec)
+    assert result.failures == 0
+    assert result.iterations == 5
+
+
 class TestTerminationTiming:
     def test_offsets_against_hand_computation(self):
         from apexopt.evalharness import termination_timing
@@ -379,7 +392,7 @@ def test_reported_goal_matrix_matches_heatmap_totals(crystal_space,
     energy = [float(100 + i) for i in range(16)]
     ds = make_dataset(crystal_space, {"energy": energy, "prr": [90.0] * 16})
     spec = CampaignSpec(requirement=energy_prr_requirement, approach="ger",
-                        dataset=ds, iterations=3, max_trials=20, base_seed=0)
+                        source=ds, iterations=3, max_trials=20, base_seed=0)
     result = run_campaign(spec)
     assert result.reported_goal_matrix.shape == (3, 20)
     defined = ~np.isnan(result.reported_goal_matrix)

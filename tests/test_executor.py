@@ -14,17 +14,16 @@ from apexopt.executor import (
     RemoteProtocolError,
     RemoteExecutor,
     ReplayExecutor,
-    ReplayState,
     SetExhausted,
     SyntheticExecutor,
     SyntheticSpec,
     TraceDataset,
+    TraceRecord,
     TrialTimeoutError,
     load_dataset,
+    make_executor,
     remote_trial,
-    replay_trial,
     save_dataset,
-    synthetic_trial,
     validate_dataset,
 )
 from tests.conftest import make_dataset, make_line_space
@@ -33,12 +32,12 @@ from tests.conftest import make_dataset, make_line_space
 class TestReplay:
     def test_seventh_request_signals_exhaustion(self, crystal_space):
         ds = make_dataset(crystal_space, {"energy": [float(i) for i in range(16)]})
-        state = ReplayState.fresh(ds, seed=0)
+        executor = ReplayExecutor(ds, seed=0)
         for k in range(6):
-            obs = replay_trial(ds, state, 3, trial_index=k + 1)
+            obs = executor.run_trial(3, trial_index=k + 1)
             assert obs.set_index == 3
         with pytest.raises(SetExhausted):
-            replay_trial(ds, state, 3, trial_index=7)
+            executor.run_trial(3, trial_index=7)
 
     def test_draws_are_without_replacement(self, crystal_space):
         ds = make_dataset(crystal_space, {"energy": [float(i) for i in range(16)]})
@@ -53,12 +52,12 @@ class TestReplay:
         ds = make_dataset(
             space, {"m": [10.0, 0.0, 30.0]}, records_per_set=2, skip_sets=(1,)
         )
-        state = ReplayState.fresh(ds, seed=1)
-        obs = replay_trial(ds, state, 1, trial_index=1)
+        executor = ReplayExecutor(ds, seed=1)
+        obs = executor.run_trial(1, trial_index=1)
         # Sets 0 and 2 are equidistant from 1: the lower index donates.
         assert obs.set_index == 1
         assert obs.metrics["m"] == 10.0
-        assert state.consumed[0][0] == 0
+        assert executor.consumed[0][0] == 0
 
     def test_nearest_fallback_consumes_donor_budget(self):
         space = make_line_space(3)
@@ -72,18 +71,18 @@ class TestReplay:
     def test_dataset_exhausted_is_terminal(self):
         space = make_line_space(2)
         ds = make_dataset(space, {"m": [1.0, 2.0]}, records_per_set=1)
-        state = ReplayState.fresh(ds, seed=0)
-        replay_trial(ds, state, 0, 1)
-        replay_trial(ds, state, 1, 2)
+        executor = ReplayExecutor(ds, seed=0)
+        executor.run_trial(0, 1)
+        executor.run_trial(1, 2)
         with pytest.raises(SetExhausted):
-            replay_trial(ds, state, 0, 3)
+            executor.run_trial(0, 3)
         # An unrecorded request with no donors left is terminal.
         ds2 = make_dataset(space, {"m": [1.0, 2.0]}, records_per_set=1,
                            skip_sets=(1,))
-        state2 = ReplayState.fresh(ds2, seed=0)
-        replay_trial(ds2, state2, 0, 1)
+        executor2 = ReplayExecutor(ds2, seed=0)
+        executor2.run_trial(0, 1)
         with pytest.raises(DatasetExhausted):
-            replay_trial(ds2, state2, 1, 2)
+            executor2.run_trial(1, 2)
 
     def test_fixed_seed_gives_identical_sequences(self, bundled_dataset):
         def draw_sequence(seed):
@@ -122,15 +121,16 @@ class TestSynthetic:
         spec = SyntheticSpec(
             crystal_space, {"m": np.arange(16.0)}, noise_std={"m": 0.0}
         )
-        obs = synthetic_trial(spec, 9, trial_index=3, seed=0)
+        obs = SyntheticExecutor(spec, 0).run_trial(9, trial_index=3)
         assert obs.metrics["m"] == 9.0
 
     def test_monte_carlo_mean(self, crystal_space):
         spec = SyntheticSpec(
             crystal_space, {"m": np.full(16, 50.0)}, noise_std={"m": 4.0}
         )
+        executor = SyntheticExecutor(spec, 1)
         draws = [
-            synthetic_trial(spec, 0, trial_index=t, seed=1).metrics["m"]
+            executor.run_trial(0, trial_index=t).metrics["m"]
             for t in range(1, 10_001)
         ]
         assert np.mean(draws) == pytest.approx(50.0, abs=3 * 4.0 / 100)
@@ -141,7 +141,8 @@ class TestSynthetic:
             {"a": np.zeros(16), "b": np.zeros(16)},
             noise_std={"a": 1.0, "b": 1.0},
         )
-        xs = [synthetic_trial(spec, 0, t, seed=3).metrics for t in range(1, 201)]
+        executor = SyntheticExecutor(spec, 3)
+        xs = [executor.run_trial(0, t).metrics for t in range(1, 201)]
         a = np.array([m["a"] for m in xs])
         b = np.array([m["b"] for m in xs])
         assert not np.allclose(a, b)
@@ -151,21 +152,36 @@ class TestSynthetic:
         spec = SyntheticSpec(
             crystal_space, {"m": np.zeros(16)}, noise_std={"m": 2.0}
         )
-        x = synthetic_trial(spec, 5, trial_index=9, seed=4).metrics["m"]
-        y = synthetic_trial(spec, 5, trial_index=9, seed=4).metrics["m"]
+        x = SyntheticExecutor(spec, 4).run_trial(5, trial_index=9).metrics["m"]
+        y = SyntheticExecutor(spec, 4).run_trial(5, trial_index=9).metrics["m"]
         assert x == y
-
-    def test_callable_landscape(self, crystal_space):
-        spec = SyntheticSpec(
-            crystal_space, {"m": lambda z: 10.0 * z[0] + z[1]}, noise_std={}
-        )
-        executor = SyntheticExecutor(spec, seed=0)
-        obs = executor.run_trial(15, 1)
-        assert obs.metrics["m"] == pytest.approx(11.0)
 
     def test_table_must_cover_space(self, crystal_space):
         with pytest.raises(ConfigError):
             SyntheticSpec(crystal_space, {"m": np.zeros(5)})
+
+
+class TestMakeExecutor:
+    def test_one_backend_per_source_kind(self, crystal_space, bundled_dataset):
+        spec = SyntheticSpec(crystal_space, {"m": np.zeros(16)})
+        remote = RemoteConfig(endpoint="http://localhost:1")
+        assert isinstance(make_executor(bundled_dataset, crystal_space, 0),
+                          ReplayExecutor)
+        assert isinstance(make_executor(spec, crystal_space, 0), SyntheticExecutor)
+        assert isinstance(make_executor(remote, crystal_space, 0), RemoteExecutor)
+
+    def test_replay_checks_required_metrics(self, crystal_space):
+        ds = make_dataset(crystal_space, {"energy": [float(i) for i in range(16)]})
+        with pytest.raises(DatasetFormatError, match="missing metrics"):
+            make_executor(ds, crystal_space, 0, ("energy", "prr"))
+
+    def test_each_call_gives_a_fresh_replay(self, bundled_dataset):
+        space = bundled_dataset.space
+        first = make_executor(bundled_dataset, space, 3)
+        draws = [first.run_trial(0, k + 1).metrics for k in range(6)]
+        second = make_executor(bundled_dataset, space, 3)
+        assert second.unavailable_sets() == frozenset()
+        assert [second.run_trial(0, k + 1).metrics for k in range(6)] == draws
 
 
 class TestRemote:
@@ -220,6 +236,15 @@ class TestDatasetIO:
         assert loaded.space.n_sets == 16
         assert loaded.n_records == 32
         assert loaded.values(3, "energy") == [103.0, 103.0]
+
+    def test_table_holds_per_set_medians(self):
+        space = make_line_space(3)
+        def group(values):
+            return tuple(TraceRecord(f"r{v}", {"m": v}) for v in values)
+
+        ds = TraceDataset(space, (group([3.0, 1.0, 2.0]), (), group([4.0, 8.0])))
+        table = ds.table("m")
+        assert table[0] == 2.0 and np.isnan(table[1]) and table[2] == 6.0
 
     def test_missing_header_requires_space(self, tmp_path):
         path = tmp_path / "no_header.jsonl"
