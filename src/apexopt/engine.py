@@ -576,10 +576,7 @@ class Engine:
                 return
             excluded = self.executor.unavailable_sets()
             if idx in excluded:
-                pool = [i for i in range(self.space.n_sets) if i not in excluded]
-                if not pool:
-                    raise DatasetExhausted("no sets available for initial sampling")
-                idx = int(pool[self.rng.integers(len(pool))])
+                idx = self._random_open_set(excluded)
             self._execute(_Choice(index=idx, selected_by="init"))
 
     def _termination_reason(self) -> str | None:

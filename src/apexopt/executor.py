@@ -386,6 +386,8 @@ class SyntheticSpec:
     noise_std: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # Convert into a new dict: the caller's mapping stays as given.
+        tables = {}
         for name, values in self.metrics.items():
             table = np.asarray(values, dtype=float)
             if table.shape != (self.space.n_sets,):
@@ -399,7 +401,8 @@ class SyntheticSpec:
                     f"synthetic metric {name!r}: value {table[bad[0]]} at set "
                     f"{bad[0]} is not finite"
                 )
-            self.metrics[name] = table
+            tables[name] = table
+        self.metrics = tables
         for name, std in self.noise_std.items():
             if std < 0:
                 raise ConfigError(f"noise std for {name!r} must be >= 0")

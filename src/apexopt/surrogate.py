@@ -1,13 +1,16 @@
 """Gaussian-process regression with fixed hyperparameters.
 
 One GP is fitted per metric to (parameter set, observed value) pairs.
-Targets are standardized to zero mean / unit variance before fitting, so
-the default kernel hyperparameters and the observation-noise variance are
-scale-free across metrics measured in different units. Repeated inputs
-are allowed because the noise term keeps the covariance matrix positive
-definite. Hyperparameters are never optimized here; the defaults follow
-the engine's standard configuration (RBF kernel, length scale 1 on
-normalized coordinates).
+Targets are standardized to zero mean / unit variance (over every trial)
+before fitting, so the default kernel hyperparameters and the
+observation-noise variance are scale-free across metrics measured in
+different units. Repeated trials of one set collapse to their mean,
+observed with noise (sigma^2 + jitter) / k for k readings (Rasmussen &
+Williams, GPML section 2.2): the posterior equals the one-row-per-trial
+GP in exact arithmetic, and fit and prediction cost depends on the number
+of distinct sets tried, not on the trial count. Hyperparameters are never
+optimized here; the defaults follow the engine's standard configuration
+(RBF kernel, length scale 1 on normalized coordinates).
 """
 
 from __future__ import annotations
@@ -59,7 +62,11 @@ def kernel_matrix(cfg: KernelConfig, u: np.ndarray, v: np.ndarray) -> np.ndarray
     """Covariance between two point sets of shape (n, b) and (m, b)."""
     u = np.atleast_2d(np.asarray(u, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
-    d2 = np.sum((u[:, None, :] - v[None, :, :]) ** 2, axis=-1)
+    # One dimension at a time: no (n, m, b) temporary.
+    d2 = np.zeros((u.shape[0], v.shape[0]))
+    for k in range(u.shape[1]):
+        diff = u[:, k, None] - v[None, :, k]
+        d2 += diff * diff
     if cfg.kind == KERNEL_RBF:
         return cfg.signal_variance * np.exp(-d2 / (2.0 * cfg.length_scale**2))
     r = np.sqrt(np.maximum(d2, 0.0)) / cfg.length_scale
@@ -73,7 +80,8 @@ def kernel(cfg: KernelConfig, u: Sequence[float], v: Sequence[float]) -> float:
 
 
 class GPModel:
-    """A fitted GP for one metric: training data plus a Cholesky factor.
+    """A fitted GP for one metric: the distinct sets tried, their mean
+    targets and the Cholesky factor of their noisy covariance.
 
     Immutable after construction; predictions are pure and may run
     concurrently.
@@ -83,7 +91,7 @@ class GPModel:
         self,
         space: ParameterSpace,
         train_coords: np.ndarray,
-        targets: np.ndarray,
+        set_means: np.ndarray,
         cfg: KernelConfig,
         factor,
         y_mean: float,
@@ -91,17 +99,12 @@ class GPModel:
     ):
         self.space = space
         self.train_coords = train_coords
-        self.targets = targets
+        self.set_means = set_means
         self.cfg = cfg
         self._factor = factor
         self.y_mean = y_mean
         self.y_std = y_std
-        y_s = (targets - y_mean) / y_std
-        self._alpha = cho_solve(factor, y_s)
-
-    @property
-    def n_train(self) -> int:
-        return self.train_coords.shape[0]
+        self._alpha = cho_solve(factor, (set_means - y_mean) / y_std)
 
     def predict_coords(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance (metric units) at (m, b) coordinates."""
@@ -129,15 +132,18 @@ class GPModel:
         return self.predict_coords(self.space.normalized_all())
 
 
-def _factorize(cfg: KernelConfig, coords: np.ndarray):
-    """Cholesky of K + (noise + jitter) I, escalating jitter on failure."""
+def _factorize(cfg: KernelConfig, coords: np.ndarray, counts: np.ndarray):
+    """Cholesky of K + diag((noise + jitter) / counts), escalating jitter.
+
+    Row i is the mean of counts[i] readings of one set, so its noise (and
+    the jitter that stands in for noise) is divided by the count.
+    """
     k = kernel_matrix(cfg, coords, coords)
-    n = coords.shape[0]
     jitter = cfg.jitter
     while True:
         try:
             return cho_factor(
-                k + (cfg.noise_variance + jitter) * np.eye(n), lower=True
+                k + np.diag((cfg.noise_variance + jitter) / counts), lower=True
             )
         except LinAlgError:
             jitter *= 10.0
@@ -165,16 +171,9 @@ def fit_xy(
     cfg: KernelConfig = KernelConfig(),
 ) -> GPModel:
     """Fit a GP to explicit (set index, value) training pairs."""
-    idx = np.asarray(set_indices, dtype=int)
-    y = np.asarray(values, dtype=float)
-    if idx.size == 0:
-        raise ConfigError("cannot fit a GP to zero observations")
-    if idx.shape != y.shape:
+    if len(values) != len(set_indices):
         raise ConfigError("set_indices and values must have the same length")
-    coords = space.normalized_all()[idx]
-    y_mean, y_std = _standardize(y, cfg)
-    factor = _factorize(cfg, coords)
-    return GPModel(space, coords, y, cfg, factor, y_mean, y_std)
+    return _fit(space, set_indices, {"": values}, cfg)[""]
 
 
 def fit_many_xy(
@@ -189,18 +188,29 @@ def fit_many_xy(
     and its noise term live on the shared normalized-input / standardized-
     output scale for every metric.
     """
+    return _fit(space, set_indices, values_by_metric, cfg)
+
+
+def _fit(
+    space: ParameterSpace,
+    set_indices: Sequence[int],
+    values_by_metric: dict[str, Sequence[float]],
+    cfg: KernelConfig,
+) -> dict[str, GPModel]:
     idx = np.asarray(set_indices, dtype=int)
     if idx.size == 0:
         raise ConfigError("cannot fit a GP to zero observations")
-    coords = space.normalized_all()[idx]
-    factor = _factorize(cfg, coords)
+    sets, inverse, counts = np.unique(idx, return_inverse=True, return_counts=True)
+    coords = space.normalized_all()[sets]
+    factor = _factorize(cfg, coords, counts)
     models = {}
     for metric, values in values_by_metric.items():
         y = np.asarray(values, dtype=float)
         if y.shape != idx.shape:
             raise ConfigError(f"metric {metric!r}: wrong number of values")
         y_mean, y_std = _standardize(y, cfg)
-        models[metric] = GPModel(space, coords, y, cfg, factor, y_mean, y_std)
+        means = np.bincount(inverse, weights=y) / counts
+        models[metric] = GPModel(space, coords, means, cfg, factor, y_mean, y_std)
     return models
 
 

@@ -250,6 +250,43 @@ class TestEscapes:
             counts[t.set_index] = counts.get(t.set_index, 0) + 1
 
 
+class _ClosedSetsExecutor(SyntheticExecutor):
+    """A synthetic executor that reports a fixed group of sets unavailable."""
+
+    def __init__(self, spec, seed, closed):
+        super().__init__(spec, seed)
+        self.closed = frozenset(closed)
+
+    def unavailable_sets(self):
+        return self.closed
+
+
+class TestInitialReplacement:
+    def test_unavailable_initial_set_is_replaced_by_an_open_one(
+        self, noiseless_setup
+    ):
+        space, req, spec = noiseless_setup
+        suggestions = tuple(space.set_at(i) for i in (0, 1, 2))
+        cfg = EngineConfig(space=space, requirement=req,
+                           termination=TerminationCriteria(max_trials=3),
+                           selector="gp-lcb", n_init=3, suggestions=suggestions,
+                           seed=4)
+        result = Engine(cfg, _ClosedSetsExecutor(spec, 4, range(12))).run()
+        assert not result.aborted
+        assert [t.selected_by for t in result.trials] == ["init"] * 3
+        assert all(t.set_index >= 12 for t in result.trials)
+
+    def test_no_open_set_aborts_with_the_selection_message(self, noiseless_setup):
+        space, req, spec = noiseless_setup
+        cfg = EngineConfig(space=space, requirement=req,
+                           termination=TerminationCriteria(max_trials=6),
+                           selector="gp-lcb", seed=4)
+        result = Engine(cfg, _ClosedSetsExecutor(spec, 4, range(16))).run()
+        assert result.aborted and result.n_trials == 0
+        assert result.terminated_by == "executor-error"
+        assert result.error == "no selectable parameter set remains"
+
+
 class TestReplayIntegration:
     def test_exhausted_set_moves_to_next_best(self, crystal_space,
                                               energy_prr_requirement):

@@ -135,6 +135,13 @@ class TestSynthetic:
         ]
         assert np.mean(draws) == pytest.approx(50.0, abs=3 * 4.0 / 100)
 
+    def test_callers_tables_are_left_unchanged(self, crystal_space):
+        tables = {"m": [float(i) for i in range(16)]}
+        spec = SyntheticSpec(crystal_space, tables)
+        assert type(tables["m"]) is list
+        assert isinstance(spec.table("m"), np.ndarray)
+        assert spec.metrics is not tables
+
     def test_metric_streams_are_independent(self, crystal_space):
         spec = SyntheticSpec(
             crystal_space,

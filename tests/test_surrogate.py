@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from apexopt import surrogate
 from apexopt.domain import ParameterDef, ParameterSpace
 from apexopt.surrogate import (
+    KERNEL_MATERN52,
+    KERNEL_RBF,
     KernelConfig,
     fit_many_xy,
     fit_xy,
@@ -32,6 +35,35 @@ def dense_gp_oracle(space, set_indices, values, cfg, query_indices):
     mu_s = k_star.T @ k_inv @ ((y - mean) / std)
     var_s = cfg.signal_variance - np.sum(k_star * (k_inv @ k_star), axis=0)
     return mean + std * mu_s, std**2 * np.maximum(var_s, 0.0)
+
+
+def per_set_mean_oracle(space, set_indices, values, cfg, query_indices):
+    """Explicit-inverse GP on the per-set means, each observed with noise
+    (noise + jitter) / k for k readings; standardized over every trial."""
+    idx = np.asarray(set_indices, int)
+    y = np.asarray(values, float)
+    mean, std = y.mean(), y.std() or 1.0
+    sets = sorted(set(idx.tolist()))
+    counts = np.array([np.sum(idx == i) for i in sets], float)
+    set_means = np.array([y[idx == i].mean() for i in sets])
+    coords = space.normalized_all()[sets]
+    k = kernel_matrix(cfg, coords, coords)
+    k_inv = np.linalg.inv(k + np.diag((cfg.noise_variance + cfg.jitter) / counts))
+    q = space.normalized_all()[np.asarray(query_indices, int)]
+    k_star = kernel_matrix(cfg, coords, q)
+    mu_s = k_star.T @ k_inv @ ((set_means - mean) / std)
+    var_s = cfg.signal_variance - np.sum(k_star * (k_inv @ k_star), axis=0)
+    return mean + std * mu_s, std**2 * np.maximum(var_s, 0.0)
+
+
+def broadcast_kernel_matrix(cfg, u, v):
+    """The kernel built from one (n, m, b) broadcast of differences."""
+    d2 = np.sum((u[:, None, :] - v[None, :, :]) ** 2, axis=-1)
+    if cfg.kind == KERNEL_RBF:
+        return cfg.signal_variance * np.exp(-d2 / (2.0 * cfg.length_scale**2))
+    r = np.sqrt(np.maximum(d2, 0.0)) / cfg.length_scale
+    s5r = math.sqrt(5.0) * r
+    return cfg.signal_variance * (1.0 + s5r + 5.0 * r**2 / 3.0) * np.exp(-s5r)
 
 
 def random_space(rng, dims):
@@ -68,6 +100,74 @@ class TestKernel:
     def test_matern_at_zero(self):
         cfg = KernelConfig(kind="matern52", signal_variance=3.0)
         assert kernel(cfg, [0.5], [0.5]) == pytest.approx(3.0)
+
+
+class TestKernelMatrix:
+    @pytest.mark.parametrize("kind", [KERNEL_RBF, KERNEL_MATERN52])
+    def test_matches_broadcast_bitwise_up_to_seven_dims(self, kind):
+        rng = np.random.default_rng(5)
+        cfg = KernelConfig(kind=kind, length_scale=0.7, signal_variance=1.3)
+        for b in range(1, 8):
+            u, v = rng.uniform(size=(9, b)), rng.uniform(size=(13, b))
+            assert np.array_equal(
+                kernel_matrix(cfg, u, v), broadcast_kernel_matrix(cfg, u, v)
+            ), f"b={b}"
+
+    @pytest.mark.parametrize("kind", [KERNEL_RBF, KERNEL_MATERN52])
+    def test_matches_broadcast_closely_from_eight_dims(self, kind):
+        # NumPy sums eight or more terms in a different order.
+        rng = np.random.default_rng(6)
+        cfg = KernelConfig(kind=kind, length_scale=0.7)
+        for b in range(8, 13):
+            u, v = rng.uniform(size=(9, b)), rng.uniform(size=(13, b))
+            np.testing.assert_allclose(
+                kernel_matrix(cfg, u, v), broadcast_kernel_matrix(cfg, u, v),
+                rtol=0, atol=1e-15, err_msg=f"b={b}",
+            )
+
+
+class TestSufficientStatistics:
+    def test_repeats_equal_per_set_means_with_scaled_noise(self):
+        rng = np.random.default_rng(19)
+        for _ in range(30):
+            space = random_space(rng, int(rng.integers(1, 4)))
+            n = int(rng.integers(1, 60))
+            idx = [int(i) for i in rng.integers(0, space.n_sets, size=n)]
+            y = [float(v) for v in rng.normal(40, 15, size=n)]
+            cfg = KernelConfig(
+                kind=str(rng.choice([KERNEL_RBF, KERNEL_MATERN52])),
+                length_scale=float(rng.uniform(0.3, 2.0)),
+                noise_variance=float(rng.uniform(0.0, 0.5)),
+                jitter=1e-6,
+            )
+            queries = range(space.n_sets)
+            mean, var = fit_xy(space, idx, y, cfg).predict_sets(queries)
+            o_mean, o_var = per_set_mean_oracle(space, idx, y, cfg, queries)
+            np.testing.assert_allclose(mean, o_mean, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(var, o_var, rtol=1e-10, atol=1e-10)
+
+    def test_zero_noise_with_duplicate_inputs_fits(self, crystal_space):
+        cfg = KernelConfig(noise_variance=0.0)
+        idx = [3, 3, 3, 7, 7, 11]
+        y = [10.0, 14.0, 12.0, 30.0, 32.0, 20.0]
+        model = fit_xy(crystal_space, idx, y, cfg)
+        mean, var = model.predict_sets([3, 7, 11])
+        np.testing.assert_allclose(mean, [12.0, 31.0, 20.0], atol=1e-3)
+        assert np.all(np.isfinite(var)) and np.all(var >= 0.0)
+
+    def test_factor_has_one_row_per_distinct_set(self, crystal_space, monkeypatch):
+        rows = []
+        real = surrogate.cho_factor
+
+        def spy(a, *args, **kwargs):
+            rows.append(a.shape[0])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(surrogate, "cho_factor", spy)
+        idx = [0, 5, 5, 9, 0, 5, 9, 9, 9, 12]
+        fit_xy(crystal_space, idx, [float(i) for i in range(10)])
+        fit_many_xy(crystal_space, idx, {"a": [1.0] * 10, "b": list(range(10))})
+        assert rows == [len(set(idx))] * 2
 
 
 class TestFitPredict:
