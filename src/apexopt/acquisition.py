@@ -99,26 +99,14 @@ def select(
     variation; "ei" maximizes EI and scores the choice by its EI. Ties
     break to the first candidate.
     """
+    if len(candidates) == 0:
+        raise NoCandidatesError("empty candidate set")
     if kind == "gp-lcb":
         pos = int(np.argmin(lcb_values(mean, std, kappa_n)))
         return int(candidates[pos]), coefficient_of_variation(mean[pos], std[pos])
     ei = ei_values(mean, std, f_best)
     pos = int(np.argmax(ei))
     return int(candidates[pos]), float(ei[pos])
-
-
-def select_gp_lcb(
-    goal_model: GPModel, candidates: Sequence[int], kappa_n: float
-) -> int:
-    """Candidate minimizing the LCB; ties break to the lowest set index."""
-    cand = _as_candidates(candidates)
-    return select("gp-lcb", cand, *_model_scores(goal_model, cand), kappa_n, 0.0)[0]
-
-
-def select_ei(goal_model: GPModel, candidates: Sequence[int], f_best: float) -> int:
-    """Candidate maximizing EI; ties break to the lowest set index."""
-    cand = _as_candidates(candidates)
-    return select("ei", cand, *_model_scores(goal_model, cand), 0.0, f_best)[0]
 
 
 def coefficient_of_variation(mean: float, std: float) -> float:

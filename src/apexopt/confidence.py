@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from apexopt.domain import (
     CanonicalConstraint,
@@ -94,6 +93,85 @@ def _sse(b: float, x: np.ndarray, y: np.ndarray) -> float:
 _GRID = np.logspace(math.log10(B_MIN), math.log10(B_MAX), _GRID_POINTS)
 
 
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _sign1(v: float) -> float:
+    return -1.0 if v < 0.0 else 1.0
+
+
+def minimize_bounded(
+    func: Callable[[float], float], lo: float, hi: float,
+    xatol: float = 1e-5, maxiter: int = 500,
+) -> tuple[float, float]:
+    """Brent's bounded scalar minimizer (Brent 1973): (x, func(x)).
+
+    Golden-section steps with parabolic interpolation on [lo, hi]. Step
+    for step the loop of SciPy's ``minimize_scalar(method="bounded")``,
+    in Python floats, so it returns the same x and f(x).
+    """
+    a, b = float(lo), float(hi)
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # Parabola through the three best points.
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign1(xm - xf)
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+        x = xf + _sign1(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return xf, fx
+
+
 def fit_saturating_exponential(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares rate of y = (1-exp(-bx))/(1-exp(-b)) on [0,1] data.
 
@@ -108,11 +186,8 @@ def fit_saturating_exponential(x: np.ndarray, y: np.ndarray) -> float:
     hi = _GRID[min(best + 1, len(_GRID) - 1)]
     if lo == hi:
         return float(_GRID[best])
-    res = minimize_scalar(
-        _sse, args=(x, y), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-6},
-    )
-    return float(res.x) if res.fun <= errors[best] else float(_GRID[best])
+    b, sse = minimize_bounded(lambda b: _sse(b, x, y), lo, hi, xatol=1e-6)
+    return b if sse <= errors[best] else float(_GRID[best])
 
 
 def tangent_angle_deg(b: float) -> float:

@@ -329,8 +329,15 @@ def normalized_distance(
     """Euclidean distance between two sets in unit-cube coordinates.
 
     The space diagonal (maximum possible distance) is sqrt(dimension).
+    Set indices read the cached coordinate rows, which equal
+    ``space.normalized(index)``.
     """
-    return float(np.linalg.norm(space.normalized(a) - space.normalized(b)))
+    def coords(item):
+        if isinstance(item, (int, np.integer)):
+            return space.normalized_all()[item]
+        return space.normalized(item)
+
+    return float(np.linalg.norm(coords(a) - coords(b)))
 
 
 def max_distance(space: ParameterSpace) -> float:

@@ -34,7 +34,7 @@ from apexopt.domain import (
     TerminationCriteria,
     canonicalize,
 )
-from apexopt.executor import DatasetExhausted, ExecutorError, SetExhausted
+from apexopt.executor import DatasetExhausted, ExecutorError
 from apexopt.surrogate import GPModel, KernelConfig
 
 SELECTOR_ALIASES = {
@@ -211,32 +211,6 @@ def _dedupe_fill(
     return out + remainder
 
 
-def filter_satisfying(
-    observed_sets: Sequence[int],
-    constraint_medians: Mapping[str, Mapping[int, float]],
-    canonical: CanonicalForm,
-    n_sets: int,
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Split the space into candidate pools based on constraint medians.
-
-    ``constraint_medians`` holds per-set medians of the already-canonical
-    constraint values. Returns (optimistic candidates, observed
-    satisfying, observed violating); never-observed sets count as
-    satisfying so exploration is not starved before coverage.
-    """
-    observed = set(int(i) for i in observed_sets)
-    satisfying = []
-    violating = []
-    for idx in sorted(observed):
-        ok = all(
-            constraint_medians[c.metric][idx] <= c.bound
-            for c in canonical.constraints
-        )
-        (satisfying if ok else violating).append(idx)
-    optimistic = [i for i in range(n_sets) if i not in observed] + satisfying
-    return tuple(sorted(optimistic)), tuple(satisfying), tuple(violating)
-
-
 def current_best(
     satisfying: Sequence[int],
     goal_medians: Mapping[int, float],
@@ -320,6 +294,10 @@ class AnalysisState:
     off directly), and the raw readings in trial order for the GP targets.
     Canonical values are ``sign * raw`` at the point of use; negation is
     exact, so canonical medians equal medians of canonical values.
+
+    A trial changes only its own set, so each update recomputes that set's
+    feasibility flag and nothing else per set; the kernel rows of the sets
+    tried are kept for the whole run.
     """
 
     def __init__(
@@ -338,6 +316,10 @@ class AnalysisState:
         self._sorted: dict[int, dict[str, list[float]]] = {}
         self._columns: dict[str, list[float]] = {m: [] for m in metrics}
         self._set_indices: list[int] = []
+        # Per set: observed at least once / constraint medians violate.
+        self._observed = np.zeros(space.n_sets, dtype=bool)
+        self._violating = np.zeros(space.n_sets, dtype=bool)
+        self._rows = surrogate.KernelRows(space, kernel)
         self.trace = confidence.SuboptimalityTrace()
         self.last: Analysis | None = None
 
@@ -359,13 +341,18 @@ class AnalysisState:
         goal_medians = dict(prev.goal_medians) if prev is not None else {}
         counts[idx] = len(goal_sorted)
         goal_medians[idx] = canon.goal_sign * sorted_median(goal_sorted)
+        self._observed[idx] = True
+        self._violating[idx] = not all(
+            c.sign * sorted_median(readings[c.metric]) <= c.bound
+            for c in canon.constraints
+        )
 
         goal_values = canon.goal_sign * np.asarray(self._columns[canon.goal_metric])
         targets = {"goal": goal_values}
         for c in canon.constraints:
             targets[f"c:{c.metric}"] = c.sign * np.asarray(self._columns[c.metric])
         models = surrogate.fit_many_xy(
-            self.space, self._set_indices, targets, self.kernel
+            self.space, self._set_indices, targets, self.kernel, rows=self._rows
         )
         goal_model = models["goal"]
         constraint_models = {
@@ -374,16 +361,7 @@ class AnalysisState:
         goal_mean, goal_var = goal_model.predict_all()
         goal_std = np.sqrt(np.maximum(goal_var, 0.0))
 
-        constraint_medians = {
-            c.metric: {
-                i: c.sign * sorted_median(r[c.metric])
-                for i, r in self._sorted.items()
-            }
-            for c in canon.constraints
-        }
-        d_n, d_sat, d_vio = filter_satisfying(
-            sorted(self._sorted), constraint_medians, canon, self.space.n_sets
-        )
+        d_n, d_sat, d_vio = self.split()
         best, reported = current_best(
             d_sat, goal_medians, counts,
             prev.reported_index if prev is not None else None,
@@ -447,6 +425,20 @@ class AnalysisState:
             beta=beta,
         )
         return self.last
+
+    def split(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """Candidate pools from the per-set constraint medians.
+
+        Returns (optimistic candidates, observed satisfying, observed
+        violating), each ascending; never-observed sets count as
+        satisfying so exploration is not starved before coverage.
+        """
+        vio = self._violating
+        return (
+            tuple(np.flatnonzero(~vio).tolist()),
+            tuple(np.flatnonzero(self._observed & ~vio).tolist()),
+            tuple(np.flatnonzero(vio).tolist()),
+        )
 
     def _beta(self, reported: int | None) -> float:
         if reported is None:
@@ -606,17 +598,9 @@ class Engine:
 
     def _execute(self, choice: _Choice) -> None:
         trial_index = len(self.analysis.history) + 1
-        obs = None
-        for _ in range(self.space.n_sets + 2):
-            try:
-                obs = self.executor.run_trial(choice.index, trial_index)
-                break
-            except SetExhausted:
-                # Rare (unavailable_sets is consulted first): re-select,
-                # which now sees the exhausted set as unavailable.
-                choice = self._select_next()
-        if obs is None:
-            raise DatasetExhausted("no selectable parameter set remains")
+        # Every selector returns an open set, so a SetExhausted here is an
+        # executor fault and aborts the run like any other ExecutorError.
+        obs = self.executor.run_trial(choice.index, trial_index)
         analysis = self.analysis.update(obs)
         if self.config.selector in RL_SELECTORS:
             self._policy.update(self.analysis.reward(obs), obs.set_index)

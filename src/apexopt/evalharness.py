@@ -18,6 +18,7 @@ harness aggregates:
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -25,6 +26,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence, Union
 
 import numpy as np
+import scipy
 
 from apexopt.domain import (
     CanonicalForm,
@@ -278,11 +280,54 @@ def _goal_span(source: TableSource, goal_metric: str) -> tuple[float, float]:
     return float(min(values)), float(max(values))
 
 
+# NumPy and SciPy wheels each bundle their own OpenBLAS, with its own
+# thread setting: (package, setter suffix) per copy.
+_BUNDLED_OPENBLAS = ((np, "64_"), (scipy, ""))
+
+
+def bundled_openblas() -> list[tuple[ctypes.CDLL, str]]:
+    """Each OpenBLAS copy bundled with NumPy or SciPy, with its symbol
+    suffix; a copy that is not found (another BLAS build) is left out."""
+    found = []
+    for package, suffix in _BUNDLED_OPENBLAS:
+        pkg_dir = Path(package.__file__).parent
+        libs = pkg_dir.parent / f"{pkg_dir.name}.libs"
+        for path in sorted(libs.glob("libscipy_openblas*.so*")):
+            try:
+                found.append((ctypes.CDLL(str(path)), suffix))
+            except OSError:
+                continue
+    return found
+
+
+def pin_blas_one_thread() -> None:
+    """Limit the bundled OpenBLAS copies to one thread in this process.
+
+    The initializer of the campaign's worker processes: each worker runs
+    whole iterations, and BLAS threads spinning in every worker on small
+    matrices make ``jobs > 1`` slower than a serial run. A silent no-op
+    where a library or setter is missing.
+    """
+    for lib, suffix in bundled_openblas():
+        setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+        if setter is not None:
+            setter(ctypes.c_int(1))
+
+
+def worker_pool(jobs: int) -> ProcessPoolExecutor:
+    """Process pool for campaign iterations, BLAS pinned to one thread."""
+    return ProcessPoolExecutor(max_workers=jobs, initializer=pin_blas_one_thread)
+
+
 def run_campaign(spec: CampaignSpec) -> CampaignResult:
-    """Run M seeded iterations and aggregate the evaluation curves."""
+    """Run M seeded iterations and aggregate the evaluation curves.
+
+    With ``jobs > 1`` the iterations run in worker processes whose BLAS is
+    pinned to one thread; the calling process is left as it is.
+    """
     outcomes: list[_IterationOutcome]
     if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+        with worker_pool(spec.jobs) as pool:
             outcomes = list(
                 pool.map(_run_iteration, [spec] * spec.iterations,
                          range(spec.iterations))

@@ -313,11 +313,11 @@ def save_dataset(dataset: TraceDataset, path: Union[str, Path],
 class ReplayExecutor:
     """One run's replay of a dataset: each trial draws an unconsumed record.
 
-    Records are drawn without replacement. A set with records but none
-    left raises SetExhausted so the engine can move to its next-best
-    option. A set that was never recorded is served by the nearest
-    recorded set (normalized distance, lowest index on ties), consuming
-    that donor's budget.
+    Records are drawn without replacement. An exhausted set is listed by
+    ``unavailable_sets``, so the engine never selects it; requesting one
+    anyway raises SetExhausted. A set that was never recorded is served
+    by the nearest recorded set (normalized distance, lowest index on
+    ties), consuming that donor's budget.
     """
 
     def __init__(

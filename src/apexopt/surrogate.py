@@ -11,6 +11,13 @@ GP in exact arithmetic, and fit and prediction cost depends on the number
 of distinct sets tried, not on the trial count. Hyperparameters are never
 optimized here; the defaults follow the engine's standard configuration
 (RBF kernel, length scale 1 on normalized coordinates).
+
+The grid and the hyperparameters are fixed for a run, so the covariance
+between two sets never changes: :class:`KernelRows` computes a set's row
+of the kernel against the whole grid once, when the set is first tried,
+and fits and grid predictions read their blocks from those rows. The
+Cholesky factor and its solves call LAPACK (``potrf``/``potrs``)
+directly.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from apexopt.domain import ConfigError, ParameterSet, ParameterSpace
 
@@ -79,39 +86,108 @@ def kernel(cfg: KernelConfig, u: Sequence[float], v: Sequence[float]) -> float:
     return float(kernel_matrix(cfg, np.asarray(u, float), np.asarray(v, float))[0, 0])
 
 
+class KernelRows:
+    """Rows of the kernel between tried sets and every set of the grid.
+
+    A set's row ``kernel_matrix(cfg, coords[[i]], coords)`` is computed
+    when the set is first needed and kept; each entry is computed pair by
+    pair, so any block read from the rows equals ``kernel_matrix`` on that
+    block bitwise. Memory is (distinct sets tried) x n_sets: the full
+    n_sets x n_sets matrix is never built. One instance serves one run
+    (one space and one kernel configuration).
+    """
+
+    def __init__(self, space: ParameterSpace, cfg: KernelConfig):
+        self.space = space
+        self.cfg = cfg
+        self._slot = np.full(space.n_sets, -1, dtype=np.intp)
+        self._rows = np.empty((0, space.n_sets))
+        self._used = 0
+
+    def __len__(self) -> int:
+        return self._used
+
+    def _slots(self, sets: np.ndarray) -> np.ndarray:
+        new = sets[self._slot[sets] < 0]
+        if new.size:
+            need = self._used + new.size
+            if need > len(self._rows):
+                grown = np.empty((min(max(need, 2 * len(self._rows)),
+                                      self.space.n_sets), self.space.n_sets))
+                grown[: self._used] = self._rows[: self._used]
+                self._rows = grown
+            coords = self.space.normalized_all()
+            self._rows[self._used:need] = kernel_matrix(self.cfg, coords[new], coords)
+            self._slot[new] = np.arange(self._used, need)
+            self._used = need
+        return self._slot[sets]
+
+    def block(self, sets: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+        """Kernel between distinct ``sets`` and ``cols`` (default: all sets)."""
+        slots = self._slots(sets)
+        if cols is None:
+            return self._rows[slots]
+        return self._rows[np.ix_(slots, cols)]
+
+
+def _check_finite(a: np.ndarray) -> None:
+    if not np.all(np.isfinite(a)):
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of ``a``; None when it is not positive definite."""
+    _check_finite(a)
+    c, info = dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        return None
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of potrf")
+    return c
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) x = b for the lower factor L in ``c``."""
+    _check_finite(b)
+    x, info = dpotrs(c, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x
+
+
 class GPModel:
     """A fitted GP for one metric: the distinct sets tried, their mean
     targets and the Cholesky factor of their noisy covariance.
 
-    Immutable after construction; predictions are pure and may run
-    concurrently.
+    Immutable after construction (the shared kernel rows only ever grow);
+    predictions are pure.
     """
 
     def __init__(
         self,
         space: ParameterSpace,
-        train_coords: np.ndarray,
+        train_sets: np.ndarray,
         set_means: np.ndarray,
         cfg: KernelConfig,
-        factor,
+        factor: np.ndarray,
         y_mean: float,
         y_std: float,
+        rows: KernelRows,
     ):
         self.space = space
-        self.train_coords = train_coords
+        self.train_sets = train_sets
         self.set_means = set_means
         self.cfg = cfg
         self._factor = factor
         self.y_mean = y_mean
         self.y_std = y_std
-        self._alpha = cho_solve(factor, (set_means - y_mean) / y_std)
+        self._rows = rows
+        self._alpha = _cho_solve(factor, (set_means - y_mean) / y_std)
 
-    def predict_coords(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and variance (metric units) at (m, b) coordinates."""
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        k_star = kernel_matrix(self.cfg, self.train_coords, coords)
+    def _posterior(self, k_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and variance (metric units) from the train-by-query kernel."""
         mean_s = k_star.T @ self._alpha
-        solved = cho_solve(self._factor, k_star)
+        solved = _cho_solve(self._factor, k_star)
         var_s = self.cfg.signal_variance - np.sum(k_star * solved, axis=0)
         floor = -1e-6 * self.cfg.signal_variance
         if np.any(var_s < floor):
@@ -124,34 +200,37 @@ class GPModel:
         var = self.y_std**2 * var_s
         return mean, var
 
+    def predict_coords(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and variance (metric units) at (m, b) coordinates."""
+        coords = np.atleast_2d(np.asarray(coords, dtype=float))
+        train_coords = self.space.normalized_all()[self.train_sets]
+        return self._posterior(kernel_matrix(self.cfg, train_coords, coords))
+
     def predict_sets(self, indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        coords = self.space.normalized_all()[np.asarray(indices, dtype=int)]
-        return self.predict_coords(coords)
+        cols = np.asarray(indices, dtype=int)
+        return self._posterior(self._rows.block(self.train_sets, cols))
 
     def predict_all(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.predict_coords(self.space.normalized_all())
+        return self._posterior(self._rows.block(self.train_sets))
 
 
-def _factorize(cfg: KernelConfig, coords: np.ndarray, counts: np.ndarray):
-    """Cholesky of K + diag((noise + jitter) / counts), escalating jitter.
+def _factorize(cfg: KernelConfig, k: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Cholesky of k + diag((noise + jitter) / counts), escalating jitter.
 
     Row i is the mean of counts[i] readings of one set, so its noise (and
     the jitter that stands in for noise) is divided by the count.
     """
-    k = kernel_matrix(cfg, coords, coords)
     jitter = cfg.jitter
     while True:
-        try:
-            return cho_factor(
-                k + np.diag((cfg.noise_variance + jitter) / counts), lower=True
+        factor = _cholesky(k + np.diag((cfg.noise_variance + jitter) / counts))
+        if factor is not None:
+            return factor
+        jitter *= 10.0
+        if jitter > MAX_JITTER:
+            raise FitError(
+                "covariance matrix is not positive definite even with "
+                f"jitter {MAX_JITTER:g}; training data is degenerate"
             )
-        except LinAlgError:
-            jitter *= 10.0
-            if jitter > MAX_JITTER:
-                raise FitError(
-                    "covariance matrix is not positive definite even with "
-                    f"jitter {MAX_JITTER:g}; training data is degenerate"
-                ) from None
 
 
 def _standardize(targets: np.ndarray, cfg: KernelConfig) -> tuple[float, float]:
@@ -169,11 +248,15 @@ def fit_xy(
     set_indices: Sequence[int],
     values: Sequence[float],
     cfg: KernelConfig = KernelConfig(),
+    rows: KernelRows | None = None,
 ) -> GPModel:
-    """Fit a GP to explicit (set index, value) training pairs."""
+    """Fit a GP to explicit (set index, value) training pairs.
+
+    ``rows`` is the run's kernel-row cache; a fresh one is made if absent.
+    """
     if len(values) != len(set_indices):
         raise ConfigError("set_indices and values must have the same length")
-    return _fit(space, set_indices, {"": values}, cfg)[""]
+    return _fit(space, set_indices, {"": values}, cfg, rows)[""]
 
 
 def fit_many_xy(
@@ -181,6 +264,7 @@ def fit_many_xy(
     set_indices: Sequence[int],
     values_by_metric: dict[str, Sequence[float]],
     cfg: KernelConfig = KernelConfig(),
+    rows: KernelRows | None = None,
 ) -> dict[str, GPModel]:
     """Fit one GP per metric over shared inputs, factorizing K only once.
 
@@ -188,7 +272,7 @@ def fit_many_xy(
     and its noise term live on the shared normalized-input / standardized-
     output scale for every metric.
     """
-    return _fit(space, set_indices, values_by_metric, cfg)
+    return _fit(space, set_indices, values_by_metric, cfg, rows)
 
 
 def _fit(
@@ -196,13 +280,17 @@ def _fit(
     set_indices: Sequence[int],
     values_by_metric: dict[str, Sequence[float]],
     cfg: KernelConfig,
+    rows: KernelRows | None,
 ) -> dict[str, GPModel]:
+    if rows is None:
+        rows = KernelRows(space, cfg)
+    elif rows.space is not space or rows.cfg != cfg:
+        raise ConfigError("kernel rows belong to another space or kernel")
     idx = np.asarray(set_indices, dtype=int)
     if idx.size == 0:
         raise ConfigError("cannot fit a GP to zero observations")
     sets, inverse, counts = np.unique(idx, return_inverse=True, return_counts=True)
-    coords = space.normalized_all()[sets]
-    factor = _factorize(cfg, coords, counts)
+    factor = _factorize(cfg, rows.block(sets, sets), counts)
     models = {}
     for metric, values in values_by_metric.items():
         y = np.asarray(values, dtype=float)
@@ -210,7 +298,9 @@ def _fit(
             raise ConfigError(f"metric {metric!r}: wrong number of values")
         y_mean, y_std = _standardize(y, cfg)
         means = np.bincount(inverse, weights=y) / counts
-        models[metric] = GPModel(space, coords, means, cfg, factor, y_mean, y_std)
+        models[metric] = GPModel(
+            space, sets, means, cfg, factor, y_mean, y_std, rows
+        )
     return models
 
 

@@ -20,8 +20,7 @@ from apexopt.acquisition import (
     expected_improvement,
     lcb,
     lcb_values,
-    select_ei,
-    select_gp_lcb,
+    select,
 )
 from apexopt.confidence import kappa
 from apexopt.surrogate import KernelConfig, fit_xy, predict
@@ -32,6 +31,14 @@ def toy_model(crystal_space, seed=0, n=10):
     idx = [int(i) for i in rng.integers(0, 16, size=n)]
     y = [float(v) for v in rng.normal(100, 15, size=n)]
     return fit_xy(crystal_space, idx, y, KernelConfig())
+
+
+def choose(kind, model, candidates, kappa_n=0.0, f_best=0.0):
+    """``select`` on the model's posterior over the candidate sets."""
+    cand = np.asarray(list(candidates), dtype=int)
+    mean, var = model.predict_sets(cand)
+    std = np.sqrt(np.maximum(var, 0.0))
+    return select(kind, cand, mean, std, kappa_n, f_best)[0]
 
 
 class TestLcb:
@@ -55,7 +62,7 @@ class TestLcb:
 class TestSelectGpLcb:
     def test_singleton(self, crystal_space):
         model = toy_model(crystal_space)
-        assert select_gp_lcb(model, [5], 2.0) == 5
+        assert choose("gp-lcb", model, [5], 2.0) == 5
 
     def test_uncertainty_bonus(self):
         # Equal means, larger sigma on the second candidate: lower LCB wins.
@@ -65,7 +72,7 @@ class TestSelectGpLcb:
     def test_matches_exhaustive_scan(self, crystal_space):
         model = toy_model(crystal_space, seed=5)
         k = kappa(10, 16, 0.1)
-        chosen = select_gp_lcb(model, range(16), k)
+        chosen = choose("gp-lcb", model, range(16), k)
         brute = min(
             range(16),
             key=lambda i: predict(model, i)[0]
@@ -76,7 +83,7 @@ class TestSelectGpLcb:
     def test_empty_candidates_signaled(self, crystal_space):
         model = toy_model(crystal_space)
         with pytest.raises(NoCandidatesError):
-            select_gp_lcb(model, [], 2.0)
+            choose("gp-lcb", model, [], 2.0)
 
 
 class TestExpectedImprovement:
@@ -116,7 +123,7 @@ class TestExpectedImprovement:
 class TestSelectEi:
     def test_singleton(self, crystal_space):
         model = toy_model(crystal_space)
-        assert select_ei(model, [9], 100.0) == 9
+        assert choose("ei", model, [9], f_best=100.0) == 9
 
     def test_degenerate_certainty_picks_lowest_index(self):
         # All sigma 0 makes EI identically zero: lowest index wins the tie,
@@ -130,7 +137,7 @@ class TestSelectEi:
     def test_matches_exhaustive_scan(self, crystal_space):
         model = toy_model(crystal_space, seed=9)
         f_best = 95.0
-        chosen = select_ei(model, range(16), f_best)
+        chosen = choose("ei", model, range(16), f_best=f_best)
         brute = max(range(16), key=lambda i: expected_improvement(model, i, f_best))
         assert chosen == brute
 
@@ -142,12 +149,12 @@ class TestSelectEi:
         model_a = fit_xy(crystal_space, idx, list(y), KernelConfig())
         model_b = fit_xy(crystal_space, idx, list(scale * y + shift), KernelConfig())
         f_best = float(np.median(y[:3]))
-        assert select_ei(model_a, range(16), f_best) == select_ei(
-            model_b, range(16), scale * f_best + shift
+        assert choose("ei", model_a, range(16), f_best=f_best) == choose(
+            "ei", model_b, range(16), f_best=scale * f_best + shift
         )
         k = kappa(12, 16, 0.1)
-        assert select_gp_lcb(model_a, range(16), k) == select_gp_lcb(
-            model_b, range(16), k
+        assert choose("gp-lcb", model_a, range(16), k) == choose(
+            "gp-lcb", model_b, range(16), k
         )
 
 
@@ -209,10 +216,10 @@ class TestEscapeGoalOutlier:
     def test_discarding_previous_argmin_changes_choice(self, crystal_space):
         model = toy_model(crystal_space, seed=5)
         k = kappa(10, 16, 0.1)
-        unrestricted = select_gp_lcb(model, range(16), k)
+        unrestricted = choose("gp-lcb", model, range(16), k)
         counts = {unrestricted: 6}
         chosen = escape_goal_outlier(
-            counts, range(16), lambda pool: select_gp_lcb(model, pool, k)
+            counts, range(16), lambda pool: choose("gp-lcb", model, pool, k)
         )
         assert chosen != unrestricted
 

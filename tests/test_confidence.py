@@ -17,6 +17,7 @@ from apexopt.confidence import (
     fit_saturating_exponential,
     instant_suboptimality,
     kappa,
+    minimize_bounded,
     optimality_alpha,
     robustness_beta,
     tangent_angle_deg,
@@ -197,6 +198,31 @@ class TestOptimalityAlpha:
                 trace.record(float(tau))
             alpha, _ = optimality_alpha(trace)
             assert 0.0 <= alpha <= 100.0
+
+
+class TestBoundedBrent:
+    def test_equals_scipy_bounded_on_random_traces(self):
+        from scipy.optimize import minimize_scalar
+
+        from apexopt.confidence import _GRID, _sse
+
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(3, 201))
+            growth = rng.uniform(0.1, 2.0, size=n) ** np.linspace(0, rng.uniform(0, 5), n)
+            t = np.cumsum(rng.exponential(size=n) * growth)
+            x = np.arange(n, dtype=float) / (n - 1)
+            y = (t - t.min()) / (t.max() - t.min())
+            cell = int(rng.integers(1, len(_GRID) - 1))
+            lo, hi = _GRID[cell - 1], _GRID[cell + 1]
+            ref = minimize_scalar(_sse, args=(x, y), bounds=(lo, hi),
+                                  method="bounded", options={"xatol": 1e-6})
+            b, fun = minimize_bounded(lambda v: _sse(v, x, y), lo, hi, xatol=1e-6)
+            assert b == float(ref.x) and fun == float(ref.fun)
+
+    def test_finds_an_interior_minimum(self):
+        b, fun = minimize_bounded(lambda v: (v - 0.3) ** 2 + 1.0, 0.0, 2.0, 1e-9)
+        assert b == pytest.approx(0.3, abs=1e-8) and fun == pytest.approx(1.0)
 
 
 class TestBaselineAlphas:

@@ -7,6 +7,7 @@ from apexopt.domain import (
     ConfigError,
     ConstraintSpec,
     MetricSpec,
+    Observation,
     Requirement,
     TerminationCriteria,
     UnsatisfiableTerminationError,
@@ -17,13 +18,13 @@ from apexopt.engine import (
     Engine,
     EngineConfig,
     current_best,
-    filter_satisfying,
     initial_sample,
     normalize_selector,
     reanalyze,
 )
 from apexopt.executor import (
     ReplayExecutor,
+    SetExhausted,
     SyntheticExecutor,
     SyntheticSpec,
 )
@@ -83,24 +84,59 @@ class TestInitialSample:
 
 
 class TestFilterSatisfying:
-    def test_no_observations_gives_full_space(self, energy_prr_requirement):
-        canon = canonicalize(energy_prr_requirement)
-        d_n, sat, vio = filter_satisfying([], {"prr": {}}, canon, 16)
+    """The candidate pools ``AnalysisState`` keeps from per-set medians."""
+
+    @staticmethod
+    def observe(state, set_index, prr_values):
+        for k, prr in enumerate(prr_values, start=len(state.history) + 1):
+            analysis = state.update(
+                Observation(k, set_index, {"energy": 100.0 + k, "prr": prr})
+            )
+        return analysis.d_n, analysis.d_satisfying, analysis.d_violating
+
+    def test_no_observations_gives_full_space(self, crystal_space,
+                                              energy_prr_requirement):
+        state = AnalysisState(crystal_space, energy_prr_requirement, 0.1,
+                              KernelConfig())
+        d_n, sat, vio = state.split()
         assert d_n == tuple(range(16))
         assert sat == () and vio == ()
 
-    def test_median_of_60_70_70_is_included(self, energy_prr_requirement):
-        canon = canonicalize(energy_prr_requirement)
+    def test_median_of_60_70_70_is_included(self, crystal_space,
+                                            energy_prr_requirement):
+        state = AnalysisState(crystal_space, energy_prr_requirement, 0.1,
+                              KernelConfig())
         # Canonical PRR values are negated; median(-60,-70,-70) = -70 <= -65.
-        medians = {"prr": {2: float(np.median([-60.0, -70.0, -70.0]))}}
-        d_n, sat, vio = filter_satisfying([2], medians, canon, 16)
+        d_n, sat, vio = self.observe(state, 2, [60.0, 70.0, 70.0])
         assert 2 in sat and 2 in d_n and vio == ()
 
-    def test_all_below_bound_excluded(self, energy_prr_requirement):
-        canon = canonicalize(energy_prr_requirement)
-        medians = {"prr": {2: float(np.median([-60.0, -62.0, -58.0]))}}
-        d_n, sat, vio = filter_satisfying([2], medians, canon, 16)
+    def test_all_below_bound_excluded(self, crystal_space, energy_prr_requirement):
+        state = AnalysisState(crystal_space, energy_prr_requirement, 0.1,
+                              KernelConfig())
+        d_n, sat, vio = self.observe(state, 2, [60.0, 62.0, 58.0])
         assert vio == (2,) and 2 not in d_n
+
+    def test_split_after_every_trial_equals_recomputation(self, noiseless_setup):
+        # Noisy PRR around the 65 bound: sets move between the pools.
+        space, req, spec = noiseless_setup
+        noisy = SyntheticSpec(space, spec.metrics, {"energy": 2.0, "prr": 6.0})
+        cfg = EngineConfig(space=space, requirement=req,
+                           termination=TerminationCriteria(max_trials=40),
+                           selector="gp-lcb", seed=3)
+        result = Engine(cfg, SyntheticExecutor(noisy, 3)).run()
+        analyses = reanalyze(space, req, list(result.history), cfg.delta, cfg.kernel)
+        prr: dict[int, list[float]] = {}
+        moved = set()
+        for obs, analysis in zip(result.history, analyses):
+            prr.setdefault(obs.set_index, []).append(obs.metrics["prr"])
+            ok = {i for i, v in prr.items() if np.median(v) >= 65.0}
+            vio = sorted(set(prr) - ok)
+            assert analysis.d_satisfying == tuple(sorted(ok))
+            assert analysis.d_violating == tuple(vio)
+            assert analysis.d_n == tuple(i for i in range(16) if i not in vio)
+            assert all(type(i) is int for i in analysis.d_n)
+            moved |= set(vio)
+        assert moved and analyses[-1].d_satisfying
 
 
 class TestCurrentBest:
@@ -285,6 +321,33 @@ class TestInitialReplacement:
         assert result.aborted and result.n_trials == 0
         assert result.terminated_by == "executor-error"
         assert result.error == "no selectable parameter set remains"
+
+
+class _ExhaustingExecutor(SyntheticExecutor):
+    """A synthetic executor whose given trial raises SetExhausted."""
+
+    def __init__(self, spec, seed, fail_at):
+        super().__init__(spec, seed)
+        self.fail_at = fail_at
+
+    def run_trial(self, set_index, trial_index):
+        if trial_index == self.fail_at:
+            raise SetExhausted(set_index)
+        return super().run_trial(set_index, trial_index)
+
+
+class TestSetExhausted:
+    def test_set_exhausted_from_the_executor_aborts_the_run(self, noiseless_setup):
+        space, req, spec = noiseless_setup
+        cfg = EngineConfig(space=space, requirement=req,
+                           termination=TerminationCriteria(max_trials=12),
+                           selector="gp-lcb", seed=4)
+        result = Engine(cfg, _ExhaustingExecutor(spec, 4, fail_at=9)).run()
+        assert result.aborted
+        assert result.terminated_by == "executor-error"
+        assert result.n_trials == 8
+        assert result.error.startswith("parameter set ")
+        assert result.error.endswith(" is exhausted")
 
 
 class TestReplayIntegration:

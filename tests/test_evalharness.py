@@ -30,6 +30,19 @@ from apexopt.executor import RemoteConfig, SyntheticSpec
 from tests.conftest import fail_fit_on_call, make_dataset
 
 
+def _blas_threads() -> list[int]:
+    """Thread count of each bundled OpenBLAS, read through its getter."""
+    import ctypes
+
+    counts = []
+    for lib, suffix in evalharness.bundled_openblas():
+        getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+        if getter is not None:
+            getter.restype = ctypes.c_int
+            counts.append(getter())
+    return counts
+
+
 @pytest.fixture
 def planted_dataset(crystal_space):
     # Feasible rows i >= 1; unique optimum at index 4 (energy 100).
@@ -197,6 +210,13 @@ class TestRunCampaign:
         parallel = run_campaign(build(2))
         np.testing.assert_array_equal(serial.optimality, parallel.optimality)
         np.testing.assert_allclose(serial.mean_alpha, parallel.mean_alpha)
+
+    def test_pool_workers_run_one_blas_thread(self):
+        if not evalharness.bundled_openblas():
+            pytest.skip("NumPy/SciPy do not bundle OpenBLAS here")
+        with evalharness.worker_pool(2) as pool:
+            counts = [pool.submit(_blas_threads).result() for _ in range(4)]
+        assert all(c and set(c) == {1} for c in counts)
 
     def test_ger_reaches_truth_within_exhaustion_bound(self, planted_dataset,
                                                        energy_prr_requirement):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from apexopt import surrogate
-from apexopt.domain import ParameterDef, ParameterSpace
+from apexopt.domain import ConfigError, ParameterDef, ParameterSpace
 from apexopt.surrogate import (
     KERNEL_MATERN52,
     KERNEL_RBF,
     KernelConfig,
+    KernelRows,
     fit_many_xy,
     fit_xy,
     kernel,
@@ -126,6 +127,71 @@ class TestKernelMatrix:
             )
 
 
+class TestKernelRows:
+    @pytest.mark.parametrize("kind", [KERNEL_RBF, KERNEL_MATERN52])
+    def test_blocks_equal_kernel_matrix_bitwise(self, kind):
+        space = ParameterSpace([
+            ParameterDef("a", (0.0, 1.0, 2.5, 4.0, 7.0)),
+            ParameterDef("b", (1.0, 2.0, 3.0, 5.0)),
+            ParameterDef("c", (-1.0, 0.0, 3.0)),
+        ])
+        coords = space.normalized_all()
+        cfg = KernelConfig(kind=kind, length_scale=0.6, signal_variance=1.7)
+        rows = KernelRows(space, cfg)
+        rng = np.random.default_rng(11)
+        tried: set[int] = set()
+        for size in (1, 3, 1, 8, 20):
+            sets = np.unique(rng.choice(space.n_sets, size=size))
+            tried |= set(sets.tolist())
+            cols = rng.choice(space.n_sets, size=7)
+            u = coords[sets]
+            assert np.array_equal(rows.block(sets, sets), kernel_matrix(cfg, u, u))
+            assert np.array_equal(rows.block(sets, cols),
+                                  kernel_matrix(cfg, u, coords[cols]))
+            assert np.array_equal(rows.block(sets), kernel_matrix(cfg, u, coords))
+            assert len(rows) == len(tried)
+
+    def test_rows_of_another_kernel_are_rejected(self, crystal_space):
+        rows = KernelRows(crystal_space, KernelConfig(length_scale=0.5))
+        with pytest.raises(ConfigError, match="another"):
+            fit_xy(crystal_space, [0, 1], [1.0, 2.0], KernelConfig(), rows)
+
+    def test_run_computes_each_tried_sets_row_once(self, monkeypatch):
+        from apexopt.domain import (
+            ConstraintSpec, MetricSpec, Requirement, TerminationCriteria,
+        )
+        from apexopt.engine import Engine, EngineConfig
+        from apexopt.executor import SyntheticExecutor, SyntheticSpec
+
+        space = ParameterSpace([
+            ParameterDef("a", tuple(float(i) for i in range(8))),
+            ParameterDef("b", tuple(float(i) for i in range(6))),
+        ])
+        coords = space.normalized_all()
+        energy = 100.0 + (coords[:, 0] - 0.6) ** 2 * 50 + coords[:, 1] * 10
+        prr = 60.0 + coords[:, 1] * 30
+        spec = SyntheticSpec(space, {"energy": energy, "prr": prr},
+                             {"energy": 1.0, "prr": 3.0})
+        req = Requirement(goal=MetricSpec("energy", "minimize"),
+                          constraints=(ConstraintSpec("prr", ">=", 70.0, 0.5),))
+        calls = []
+        real = surrogate.kernel_matrix
+
+        def spy(cfg, u, v):
+            calls.append((np.asarray(u).shape[0], np.asarray(v).shape[0]))
+            return real(cfg, u, v)
+
+        monkeypatch.setattr(surrogate, "kernel_matrix", spy)
+        cfg = EngineConfig(space=space, requirement=req,
+                           termination=TerminationCriteria(max_trials=60),
+                           selector="gp-lcb", seed=1)
+        result = Engine(cfg, SyntheticExecutor(spec, 1)).run()
+        tried = {t.set_index for t in result.trials}
+        assert result.n_trials == 60 and len(tried) < 60
+        assert sum(u for u, _ in calls) == len(tried)
+        assert all(v == space.n_sets and u < space.n_sets for u, v in calls)
+
+
 class TestSufficientStatistics:
     def test_repeats_equal_per_set_means_with_scaled_noise(self):
         rng = np.random.default_rng(19)
@@ -157,13 +223,13 @@ class TestSufficientStatistics:
 
     def test_factor_has_one_row_per_distinct_set(self, crystal_space, monkeypatch):
         rows = []
-        real = surrogate.cho_factor
+        real = surrogate.dpotrf
 
         def spy(a, *args, **kwargs):
             rows.append(a.shape[0])
             return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(surrogate, "cho_factor", spy)
+        monkeypatch.setattr(surrogate, "dpotrf", spy)
         idx = [0, 5, 5, 9, 0, 5, 9, 9, 9, 12]
         fit_xy(crystal_space, idx, [float(i) for i in range(10)])
         fit_many_xy(crystal_space, idx, {"a": [1.0] * 10, "b": list(range(10))})
