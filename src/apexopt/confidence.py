@@ -95,6 +95,7 @@ _GRID = np.logspace(math.log10(B_MIN), math.log10(B_MAX), _GRID_POINTS)
 
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_MAX_EVALS = 500
 
 
 def _sign1(v: float) -> float:
@@ -102,14 +103,14 @@ def _sign1(v: float) -> float:
 
 
 def minimize_bounded(
-    func: Callable[[float], float], lo: float, hi: float,
-    xatol: float = 1e-5, maxiter: int = 500,
+    func: Callable[[float], float], lo: float, hi: float, xatol: float
 ) -> tuple[float, float]:
     """Brent's bounded scalar minimizer (Brent 1973): (x, func(x)).
 
-    Golden-section steps with parabolic interpolation on [lo, hi]. Step
-    for step the loop of SciPy's ``minimize_scalar(method="bounded")``,
-    in Python floats, so it returns the same x and f(x).
+    Golden-section steps with parabolic interpolation on [lo, hi], at
+    most 500 evaluations. Step for step the loop of SciPy's
+    ``minimize_scalar(method="bounded")``, in Python floats, so it
+    returns the same x and f(x).
     """
     a, b = float(lo), float(hi)
     fulc = a + _GOLDEN * (b - a)
@@ -167,7 +168,7 @@ def minimize_bounded(
         xm = 0.5 * (a + b)
         tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
-        if num >= maxiter:
+        if num >= _MAX_EVALS:
             break
     return xf, fx
 
@@ -186,7 +187,7 @@ def fit_saturating_exponential(x: np.ndarray, y: np.ndarray) -> float:
     hi = _GRID[min(best + 1, len(_GRID) - 1)]
     if lo == hi:
         return float(_GRID[best])
-    b, sse = minimize_bounded(lambda b: _sse(b, x, y), lo, hi, xatol=1e-6)
+    b, sse = minimize_bounded(lambda b: _sse(b, x, y), lo, hi, 1e-6)
     return b if sse <= errors[best] else float(_GRID[best])
 
 

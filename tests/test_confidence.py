@@ -217,7 +217,7 @@ class TestBoundedBrent:
             lo, hi = _GRID[cell - 1], _GRID[cell + 1]
             ref = minimize_scalar(_sse, args=(x, y), bounds=(lo, hi),
                                   method="bounded", options={"xatol": 1e-6})
-            b, fun = minimize_bounded(lambda v: _sse(v, x, y), lo, hi, xatol=1e-6)
+            b, fun = minimize_bounded(lambda v: _sse(v, x, y), lo, hi, 1e-6)
             assert b == float(ref.x) and fun == float(ref.fun)
 
     def test_finds_an_interior_minimum(self):

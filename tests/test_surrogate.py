@@ -154,7 +154,8 @@ class TestKernelRows:
     def test_rows_of_another_kernel_are_rejected(self, crystal_space):
         rows = KernelRows(crystal_space, KernelConfig(length_scale=0.5))
         with pytest.raises(ConfigError, match="another"):
-            fit_xy(crystal_space, [0, 1], [1.0, 2.0], KernelConfig(), rows)
+            fit_many_xy(crystal_space, [0, 1], {"m": [1.0, 2.0]}, KernelConfig(),
+                        rows)
 
     def test_run_computes_each_tried_sets_row_once(self, monkeypatch):
         from apexopt.domain import (
