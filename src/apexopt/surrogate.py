@@ -16,9 +16,9 @@ The grid and the hyperparameters are fixed for a run, so the covariance
 between two sets never changes: :class:`KernelRows` computes a set's row
 of the kernel against the whole grid once, when the set is first tried,
 and fits and grid predictions read their blocks from those rows. The
-Cholesky factor and its solves call LAPACK (``potrf``/``potrs``/
-``trtrs``) directly, and the predictive variance takes one triangular
-solve (GPML Alg. 2.1).
+Cholesky factor and its solves call LAPACK ``potrf``/``potrs`` directly,
+and the predictive variance takes one BLAS triangular solve (``trsm``;
+GPML Alg. 2.1).
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ class GPModel:
     """A fitted GP for one metric: the distinct sets tried, their mean
     targets and the Cholesky factor of their noisy covariance.
 
-    Immutable after construction (the shared kernel rows only ever grow);
-    predictions are pure.
+    Immutable after construction; predictions are pure. The rows of its
+    training sets are in the shared kernel rows from the fit on.
     """
 
     def __init__(
