@@ -41,12 +41,14 @@ def _phi(z: np.ndarray) -> np.ndarray:
 
 def lcb(model: GPModel, x: Union[int, ParameterSet, Sequence[float]],
         kappa_n: float) -> float:
-    """Lower confidence bound mean - kappa * std at one parameter set."""
+    """Lower confidence bound at one parameter set."""
     mean, var = predict(model, x)
-    return mean - kappa_n * math.sqrt(max(var, 0.0))
+    return lcb_values(mean, math.sqrt(var), kappa_n)
 
 
 def lcb_values(mean: np.ndarray, std: np.ndarray, kappa_n: float) -> np.ndarray:
+    """Lower confidence bound mean - kappa_n * std: the GP-LCB score and
+    the floor of the instant suboptimality. The one place it is written."""
     return mean - kappa_n * std
 
 
@@ -66,15 +68,7 @@ def expected_improvement(
     model: GPModel, x: Union[int, ParameterSet, Sequence[float]], f_best: float
 ) -> float:
     mean, var = predict(model, x)
-    std = math.sqrt(max(var, 0.0))
-    return float(ei_values(np.array([mean]), np.array([std]), f_best)[0])
-
-
-def _model_scores(
-    model: GPModel, candidates: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    mean, var = model.predict_sets(candidates)
-    return mean, np.sqrt(np.maximum(var, 0.0))
+    return float(ei_values(np.array([mean]), np.array([math.sqrt(var)]), f_best)[0])
 
 
 def _as_candidates(candidates: Sequence[int]) -> np.ndarray:
@@ -200,8 +194,8 @@ def escape_constraint(
     improvement = f_best - goal_mean
     best_delta = np.full(cand.shape, np.inf)
     for metric, model in constraint_models.items():
-        mean, std = _model_scores(model, cand)
-        lcb_c = mean - kappa_n * std
+        mean, var = model.predict_sets(cand)
+        lcb_c = lcb_values(mean, np.sqrt(var), kappa_n)
         delta = delta_metric(lcb_c, f_c_plus[metric], improvement, f_best)
         best_delta = np.minimum(best_delta, delta)
     return int(cand[np.argmin(best_delta)])

@@ -60,6 +60,18 @@ EXIT_CONFIG = 2
 EXIT_EXECUTOR = 3
 EXIT_UNSATISFIABLE = 4
 
+_PARAMETER_KEYS = {"name": str, "values": list, "unit": str, "scale": str}
+_GOAL_KEYS = {"metric": str, "direction": str, "unit": str}
+_CONSTRAINT_KEYS = {
+    "metric": str, "relation": str, "bound": float, "percentile": float,
+}
+_REMOTE_KEYS = {
+    "endpoint": str, "poll_interval": float, "trial_duration": float,
+    "timeout": float, "http_timeout": float,
+}
+_TERMINATION_KEYS = {
+    "max_trials": int, "alpha_target": float, "beta_target": float,
+}
 _ENGINE_KEYS = {
     "selector": str, "n_init": int, "init_strategy": str, "delta": float,
     "seed": int, "rl_epsilon": float, "rl_learning_rate": float,
@@ -124,8 +136,19 @@ def _get(d: Mapping, key: str, path: str, kind, default=None, required=False):
     return value
 
 
-def _present(block: Mapping, kinds: Mapping[str, type], path: str) -> dict:
-    """Type-checked values of the ``kinds`` keys that ``block`` sets."""
+def _present(block: Any, kinds: Mapping[str, type], path: str,
+             required: Sequence[str] = (), also: Sequence[str] = ()) -> dict:
+    """Type-checked values of the ``kinds`` keys that the mapping ``block``
+    sets.
+
+    A key outside ``kinds`` and ``also`` is an error, and so is a missing
+    ``required`` key. The dataclass built from the result holds the
+    defaults of the keys left out.
+    """
+    block = _as_mapping(block, path)
+    _check_keys(block, [*kinds, *also], path)
+    for key in required:
+        _get(block, key, path, None, required=True)
     return {
         key: _get(block, key, path, kind)
         for key, kind in kinds.items()
@@ -170,11 +193,7 @@ class ConfigBundle:
             eng["selector"] = selector
         termination = self.termination
         if max_trials is not None:
-            termination = TerminationCriteria(
-                max_trials=max_trials,
-                alpha_target=termination.alpha_target,
-                beta_target=termination.beta_target,
-            )
+            termination = dataclasses.replace(termination, max_trials=max_trials)
         return EngineConfig(
             space=self.space,
             requirement=self.requirement,
@@ -221,56 +240,34 @@ def parse_config(path: str | Path) -> ConfigBundle:
     params = protocol.get("parameters")
     if not isinstance(params, list) or not params:
         _fail("protocol.parameters", "expected a non-empty list")
-    defs = []
-    for i, p in enumerate(params):
-        p = _as_mapping(p, f"protocol.parameters[{i}]")
-        _check_keys(p, ["name", "values", "unit", "scale"], f"protocol.parameters[{i}]")
-        name = _get(p, "name", f"protocol.parameters[{i}]", str, required=True)
-        values = _get(p, "values", f"protocol.parameters[{i}]", list, required=True)
-        defs.append(
-            ParameterDef(
-                name=name,
-                values=tuple(values),
-                unit=_get(p, "unit", f"protocol.parameters[{i}]", str, ""),
-                scale=_get(p, "scale", f"protocol.parameters[{i}]", str, "linear"),
-            )
-        )
-    space = ParameterSpace(defs)
+    space = ParameterSpace([
+        ParameterDef(**_present(p, _PARAMETER_KEYS, f"protocol.parameters[{i}]",
+                                required=("name", "values")))
+        for i, p in enumerate(params)
+    ])
 
     req_block = _as_mapping(root.get("requirement"), "requirement")
-    _check_keys(req_block, ["goal", "constraints", "confidence_target"], "requirement")
-    goal_block = _as_mapping(req_block.get("goal"), "requirement.goal")
-    _check_keys(goal_block, ["metric", "direction", "unit"], "requirement.goal")
-    goal = MetricSpec(
-        name=_get(goal_block, "metric", "requirement.goal", str, required=True),
-        direction=_get(goal_block, "direction", "requirement.goal", str, required=True),
-        unit=_get(goal_block, "unit", "requirement.goal", str, ""),
-    )
-    constraints = []
-    for i, c in enumerate(req_block.get("constraints") or []):
-        cpath = f"requirement.constraints[{i}]"
-        c = _as_mapping(c, cpath)
-        _check_keys(c, ["metric", "relation", "bound", "percentile"], cpath)
-        constraints.append(
-            ConstraintSpec(
-                metric=_get(c, "metric", cpath, str, required=True),
-                relation=_get(c, "relation", cpath, str, required=True),
-                bound=_get(c, "bound", cpath, float, required=True),
-                percentile=_get(c, "percentile", cpath, float, 0.5),
-            )
-        )
-    requirement = Requirement(
-        goal=goal,
-        constraints=tuple(constraints),
-        confidence_target=_get(req_block, "confidence_target", "requirement", float),
-    )
+    goal = _present(req_block.get("goal"), _GOAL_KEYS, "requirement.goal",
+                    required=("metric", "direction"))
+    goal = MetricSpec(name=goal.pop("metric"), **goal)
+    constraints = [
+        ConstraintSpec(**_present(c, _CONSTRAINT_KEYS, f"requirement.constraints[{i}]",
+                                  required=("metric", "relation", "bound")))
+        for i, c in enumerate(req_block.get("constraints") or [])
+    ]
+    requirement = Requirement(goal, tuple(constraints), **_present(
+        req_block, {"confidence_target": float}, "requirement",
+        also=("goal", "constraints"),
+    ))
 
     source = _parse_executor(
         _as_mapping(root.get("executor"), "executor"), path.parent, space
     )
     engine_block = _parse_engine(_as_mapping(root.get("engine"), "engine"), space)
-    termination = _parse_termination(_as_mapping(root.get("termination"), "termination"))
-    campaign_block = _parse_campaign(_as_mapping(root.get("campaign"), "campaign"))
+    termination = TerminationCriteria(
+        **_present(root.get("termination"), _TERMINATION_KEYS, "termination")
+    )
+    campaign_block = _present(root.get("campaign"), _CAMPAIGN_KEYS, "campaign")
 
     output = _as_mapping(root.get("output"), "output")
     _check_keys(output, ["dir"], "output")
@@ -321,27 +318,14 @@ def _parse_executor(
             else:
                 table = _evaluate_expression(m["expression"], space, mpath)
             tables[name] = table
-        noise = _as_mapping(synth.get("noise_std"), "executor.synthetic.noise_std")
-        noise_std = {}
-        for name, std in noise.items():
-            if name not in tables:
-                _fail(f"executor.synthetic.noise_std.{name}", "unknown metric")
-            noise_std[name] = float(std)
-        return SyntheticSpec(space, tables, noise_std)
+        npath = "executor.synthetic.noise_std"
+        noise = _as_mapping(synth.get("noise_std"), npath)
+        return SyntheticSpec(space, tables,
+                             _present(noise, dict.fromkeys(noise, float), npath))
     if kind == "remote":
-        remote = _as_mapping(block.get("remote"), "executor.remote")
-        _check_keys(
-            remote,
-            ["endpoint", "poll_interval", "trial_duration", "timeout", "http_timeout"],
-            "executor.remote",
-        )
-        return RemoteConfig(
-            endpoint=_get(remote, "endpoint", "executor.remote", str, required=True),
-            poll_interval=_get(remote, "poll_interval", "executor.remote", float, 5.0),
-            trial_duration=_get(remote, "trial_duration", "executor.remote", float, 600.0),
-            timeout=_get(remote, "timeout", "executor.remote", float),
-            http_timeout=_get(remote, "http_timeout", "executor.remote", float, 30.0),
-        )
+        return RemoteConfig(**_present(
+            block.get("remote"), _REMOTE_KEYS, "executor.remote", required=("endpoint",)
+        ))
     _fail("executor.kind", f"must be 'replay', 'synthetic', or 'remote', got {kind!r}")
 
 
@@ -415,8 +399,7 @@ def _evaluate_expression(expr: str, space: ParameterSpace, path: str) -> np.ndar
 def _parse_engine(block: Mapping, space: ParameterSpace) -> dict:
     """The EngineConfig keywords the block sets; EngineConfig supplies the
     defaults for the rest."""
-    _check_keys(block, [*_ENGINE_KEYS, "suggestions", "kernel"], "engine")
-    out = _present(block, _ENGINE_KEYS, "engine")
+    out = _present(block, _ENGINE_KEYS, "engine", also=("suggestions", "kernel"))
     if block.get("suggestions") is not None:
         suggestions = []
         for i, s in enumerate(block["suggestions"]):
@@ -427,24 +410,10 @@ def _parse_engine(block: Mapping, space: ParameterSpace) -> dict:
             suggestions.append(pset)
         out["suggestions"] = tuple(suggestions)
     if block.get("kernel") is not None:
-        kernel = _as_mapping(block["kernel"], "engine.kernel")
-        _check_keys(kernel, list(_KERNEL_KEYS), "engine.kernel")
-        out["kernel"] = KernelConfig(**_present(kernel, _KERNEL_KEYS, "engine.kernel"))
+        out["kernel"] = KernelConfig(
+            **_present(block["kernel"], _KERNEL_KEYS, "engine.kernel")
+        )
     return out
-
-
-def _parse_termination(block: Mapping) -> TerminationCriteria:
-    _check_keys(block, ["max_trials", "alpha_target", "beta_target"], "termination")
-    return TerminationCriteria(
-        max_trials=_get(block, "max_trials", "termination", int),
-        alpha_target=_get(block, "alpha_target", "termination", float),
-        beta_target=_get(block, "beta_target", "termination", float),
-    )
-
-
-def _parse_campaign(block: Mapping) -> dict:
-    _check_keys(block, list(_CAMPAIGN_KEYS), "campaign")
-    return _present(block, _CAMPAIGN_KEYS, "campaign")
 
 
 # -- result serialization -----------------------------------------------------
@@ -466,13 +435,7 @@ def run_result_to_dict(result: RunResult, config: EngineConfig) -> dict:
             "n_init": config.n_init,
             "init_strategy": config.init_strategy,
             "delta": config.delta,
-            "kernel": {
-                "kind": config.kernel.kind,
-                "length_scale": config.kernel.length_scale,
-                "signal_variance": config.kernel.signal_variance,
-                "noise_variance": config.kernel.noise_variance,
-                "jitter": config.kernel.jitter,
-            },
+            "kernel": dataclasses.asdict(config.kernel),
             "seed": config.seed,
             "termination": dataclasses.asdict(config.termination),
         },

@@ -22,6 +22,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from apexopt.acquisition import lcb_values
 from apexopt.domain import (
     CanonicalConstraint,
     ConfigError,
@@ -70,14 +71,14 @@ def instant_suboptimality(
     """Gap between the best observed median and the lowest confidence bound.
 
     ``mean`` and ``std`` are the goal posterior over the candidate sets;
-    the floor is their lowest mean - kappa * std. May be negative when the
+    the floor is their lowest LCB (``lcb_values``). May be negative when the
     median sits below the model's floor; callers record it as-is.
     Undefined candidate sets or best values are handled by the caller
     (the engine carries the previous value forward).
     """
     if len(mean) == 0:
         raise ConfigError("instant_suboptimality needs a non-empty candidate set")
-    return best_median - float(np.min(mean - kappa_n * std))
+    return best_median - float(np.min(lcb_values(mean, std, kappa_n)))
 
 
 def _curve(b: float, x: np.ndarray) -> np.ndarray:

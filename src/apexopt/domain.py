@@ -51,7 +51,12 @@ class ParameterDef:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("parameter name must be non-empty")
-        values = tuple(float(v) for v in self.values)
+        try:
+            values = tuple(float(v) for v in self.values)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"parameter {self.name!r}: values must be numbers"
+            ) from None
         object.__setattr__(self, "values", values)
         if not values:
             raise ConfigError(f"parameter {self.name!r}: values must be non-empty")
@@ -253,11 +258,7 @@ class Requirement:
 
     @property
     def metric_names(self) -> tuple[str, ...]:
-        names = [self.goal.name]
-        for c in self.constraints:
-            if c.metric not in names:
-                names.append(c.metric)
-        return tuple(names)
+        return canonicalize(self).metric_names
 
 
 @dataclass(frozen=True)
@@ -382,10 +383,6 @@ class History:
                 f"observation at trial {obs.trial_index} missing metrics {missing}"
             )
         self._observations.append(obs)
-
-    @property
-    def observations(self) -> tuple[Observation, ...]:
-        return tuple(self._observations)
 
     def __len__(self) -> int:
         return len(self._observations)

@@ -359,7 +359,7 @@ class AnalysisState:
             c.metric: models[f"c:{c.metric}"] for c in canon.constraints
         }
         goal_mean, goal_var = goal_model.predict_all()
-        goal_std = np.sqrt(np.maximum(goal_var, 0.0))
+        goal_std = np.sqrt(goal_var)
 
         d_n, d_sat, d_vio = self.split()
         best, reported = current_best(

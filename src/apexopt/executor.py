@@ -35,7 +35,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -166,17 +166,14 @@ def _params_to_index(space: ParameterSpace, params: Mapping[str, float]) -> int:
 
 
 def _space_from_header(header: Mapping) -> ParameterSpace:
+    """The header's parameter space; unknown parameter keys are ignored."""
+    known = {f.name for f in fields(ParameterDef)}
     try:
         defs = [
-            ParameterDef(
-                name=p["name"],
-                values=tuple(p["values"]),
-                unit=p.get("unit", ""),
-                scale=p.get("scale", "linear"),
-            )
+            ParameterDef(**{k: v for k, v in p.items() if k in known})
             for p in header["parameters"]
         ]
-    except (KeyError, TypeError) as e:
+    except (AttributeError, KeyError, TypeError) as e:
         raise DatasetFormatError(f"malformed dataset header: {e}") from None
     return ParameterSpace(defs)
 
@@ -286,11 +283,7 @@ def save_dataset(dataset: TraceDataset, path: Union[str, Path],
     """Write a dataset as JSON Lines with a leading header object."""
     path = Path(path)
     header = {
-        "parameters": [
-            {"name": d.name, "values": list(d.values), "unit": d.unit,
-             "scale": d.scale}
-            for d in dataset.space.defs
-        ],
+        "parameters": [asdict(d) for d in dataset.space.defs],
         "metrics": list(dataset.metric_names()),
     }
     if n_r is not None:
@@ -404,8 +397,12 @@ class SyntheticSpec:
             tables[name] = table
         self.metrics = tables
         for name, std in self.noise_std.items():
-            if std < 0:
-                raise ConfigError(f"noise std for {name!r} must be >= 0")
+            if name not in tables:
+                raise ConfigError(f"noise std for {name!r}: unknown metric")
+            if not 0.0 <= std < math.inf:
+                raise ConfigError(
+                    f"noise std for {name!r} must be nonnegative and finite"
+                )
 
     def table(self, metric: str) -> np.ndarray:
         return self.metrics[metric]

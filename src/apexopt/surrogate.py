@@ -52,19 +52,16 @@ class KernelConfig:
     signal_variance: float = 1.0
     noise_variance: float = 0.1
     jitter: float = 1e-8
-    standardize: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in (KERNEL_RBF, KERNEL_MATERN52):
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
-        if self.length_scale <= 0:
-            raise ConfigError("length_scale must be positive")
-        if self.signal_variance <= 0:
-            raise ConfigError("signal_variance must be positive")
-        if self.noise_variance < 0:
-            raise ConfigError("noise_variance must be nonnegative")
-        if self.jitter <= 0:
-            raise ConfigError("jitter must be positive")
+        # Written so that NaN fails every check.
+        for name in ("length_scale", "signal_variance", "jitter"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"kernel {name} must be positive and finite")
+        if not 0.0 <= self.noise_variance < math.inf:
+            raise ConfigError("kernel noise_variance must be nonnegative and finite")
 
 
 def kernel_matrix(cfg: KernelConfig, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -81,11 +78,6 @@ def kernel_matrix(cfg: KernelConfig, u: np.ndarray, v: np.ndarray) -> np.ndarray
     r = np.sqrt(np.maximum(d2, 0.0)) / cfg.length_scale
     s5r = math.sqrt(5.0) * r
     return cfg.signal_variance * (1.0 + s5r + 5.0 * r**2 / 3.0) * np.exp(-s5r)
-
-
-def kernel(cfg: KernelConfig, u: Sequence[float], v: Sequence[float]) -> float:
-    """Covariance between two normalized coordinate vectors."""
-    return float(kernel_matrix(cfg, np.asarray(u, float), np.asarray(v, float))[0, 0])
 
 
 class KernelRows:
@@ -202,7 +194,7 @@ class GPModel:
                 "predicted variance fell below the numerical floor; "
                 "covariance factorization is unreliable"
             )
-        var_s = np.maximum(var_s, 0.0)
+        var_s = np.maximum(var_s, 0.0)  # the one variance floor
         mean = self.y_mean + self.y_std * mean_s
         var = self.y_std**2 * var_s
         return mean, var
@@ -240,9 +232,7 @@ def _factorize(cfg: KernelConfig, k: np.ndarray, counts: np.ndarray) -> np.ndarr
             )
 
 
-def _standardize(targets: np.ndarray, cfg: KernelConfig) -> tuple[float, float]:
-    if not cfg.standardize:
-        return 0.0, 1.0
+def _standardize(targets: np.ndarray) -> tuple[float, float]:
     mean = float(np.mean(targets))
     std = float(np.std(targets))
     if std == 0.0:
@@ -300,7 +290,7 @@ def _fit(
         y = np.asarray(values, dtype=float)
         if y.shape != idx.shape:
             raise ConfigError(f"metric {metric!r}: wrong number of values")
-        y_mean, y_std = _standardize(y, cfg)
+        y_mean, y_std = _standardize(y)
         means = np.bincount(inverse, weights=y) / counts
         models[metric] = GPModel(
             space, sets, means, cfg, factor, y_mean, y_std, rows

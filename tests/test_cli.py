@@ -2,6 +2,8 @@
 
 import csv
 import json
+import math
+import re
 import time
 from importlib import resources
 
@@ -19,6 +21,7 @@ from apexopt.cli import (
 )
 from apexopt.domain import ConfigError
 from apexopt.engine import SELECTOR_ALIASES
+from apexopt.executor import RemoteConfig
 from tests.conftest import fail_fit_on_call
 
 
@@ -98,6 +101,31 @@ class TestParseConfig:
         )
         with pytest.raises(ConfigError, match="relation"):
             parse_config(path)
+
+    @pytest.mark.parametrize("mutate, path", [
+        (lambda c: c["protocol"]["parameters"][0].pop("name"),
+         "protocol.parameters[0].name"),
+        (lambda c: c["requirement"]["goal"].pop("direction"),
+         "requirement.goal.direction"),
+        (lambda c: c["requirement"]["constraints"][0].pop("bound"),
+         "requirement.constraints[0].bound"),
+        (lambda c: c.update({"executor": {"kind": "remote",
+                                          "remote": {"poll_interval": 1.0}}}),
+         "executor.remote.endpoint"),
+        (lambda c: c["requirement"]["constraints"][0].update({"bound": "high"}),
+         "requirement.constraints[0].bound"),
+    ], ids=["parameter-name", "goal-direction", "constraint-bound",
+            "remote-endpoint", "string-bound"])
+    def test_missing_or_mistyped_key_names_its_path(self, config_file, mutate, path):
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: ")):
+            parse_config(config_file(mutate))
+
+    def test_remote_block_with_only_endpoint_takes_the_defaults(self, config_file):
+        endpoint = "http://127.0.0.1:1"
+        bundle = parse_config(config_file(lambda c: c.update(
+            {"executor": {"kind": "remote", "remote": {"endpoint": endpoint}}}
+        )))
+        assert bundle.source == RemoteConfig(endpoint=endpoint)
 
     def test_synthetic_expression_metrics(self, tmp_path):
         cfg = {
@@ -282,14 +310,53 @@ class TestOptimizeCommand:
         assert doc["aborted"] is True
 
 
+def _bundled_variant(tmp_path, config: str, mutate) -> str:
+    """A bundled config with ``mutate`` applied, written under tmp_path."""
+    cfg = yaml.safe_load((resources.files("apexopt.data") / config).read_text())
+    mutate(cfg)
+    path = tmp_path / f"variant-{config}"
+    path.write_text(yaml.safe_dump(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (lambda c: c["protocol"]["parameters"][0].update(values=["a", "b", "c", "d"]),
+     "values must be numbers"),
+    (lambda c: c["engine"].update(kernel={"length_scale": math.nan}),
+     "length_scale"),
+    (lambda c: c["executor"]["synthetic"]["noise_std"].update(cost=math.inf),
+     "noise std for 'cost'"),
+    (lambda c: c["executor"]["synthetic"]["noise_std"].update(cost=math.nan),
+     "noise std for 'cost'"),
+], ids=["text-values", "nan-length-scale", "inf-noise", "nan-noise"])
+def test_bad_config_number_exits_2_naming_the_field(tmp_path, capsys, mutate,
+                                                      field):
+    path = _bundled_variant(tmp_path, "synthetic_demo.yaml", mutate)
+    assert main(["optimize", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+
+
+# Every kernel field away from its default, to check that all of them
+# survive the run file.
+CUSTOM_KERNEL = {"kind": "matern52", "length_scale": 0.5, "signal_variance": 2.0,
+                 "noise_variance": 0.05, "jitter": 1e-7}
+
+
 @pytest.mark.parametrize("selector", sorted(set(SELECTOR_ALIASES.values())))
-@pytest.mark.parametrize("config", ["crystal_replay.yaml", "synthetic_demo.yaml"])
+@pytest.mark.parametrize("config", ["crystal_replay.yaml", "synthetic_demo.yaml",
+                                    "synthetic_demo.yaml+matern52"])
 def test_reanalysis_reproduces_every_trial_exactly(config, selector, tmp_path):
     out = tmp_path / "rt"
-    cfg = resources.files("apexopt.data") / config
+    if config.endswith("+matern52"):
+        cfg = _bundled_variant(tmp_path, "synthetic_demo.yaml",
+                               lambda c: c["engine"].update(kernel=CUSTOM_KERNEL))
+    else:
+        cfg = resources.files("apexopt.data") / config
     assert main(["optimize", str(cfg), "--selector", selector,
                  "--out", str(out)]) == EXIT_OK
     doc = json.loads((out / "run_result.json").read_text())
+    if config.endswith("+matern52"):
+        assert doc["config"]["kernel"] == CUSTOM_KERNEL
     analyses = reanalyze_run_file(out / "run_result.json")
     assert len(analyses) == doc["n_trials"] == len(doc["trials"])
     for stored, fresh in zip(doc["trials"], analyses):

@@ -100,6 +100,10 @@ class TestParameterDef:
         with pytest.raises(ConfigError, match="finite"):
             ParameterDef("p", (1.0, math.inf))
 
+    def test_values_must_be_numbers(self):
+        with pytest.raises(ConfigError, match="'p': values must be numbers"):
+            ParameterDef("p", ("a", "b", "c", "d"))
+
     def test_log2_needs_positive_values(self):
         with pytest.raises(ConfigError, match="positive"):
             ParameterDef("p", (-1.0, 2.0), scale="log2")

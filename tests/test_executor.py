@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from apexopt.domain import ConfigError
+from apexopt.domain import ConfigError, ParameterDef
 from apexopt.executor import (
     DatasetExhausted,
     DatasetFormatError,
@@ -167,6 +167,15 @@ class TestSynthetic:
         with pytest.raises(ConfigError):
             SyntheticSpec(crystal_space, {"m": np.zeros(5)})
 
+    @pytest.mark.parametrize("std", [-1.0, np.inf, np.nan])
+    def test_noise_std_must_be_finite_and_nonnegative(self, crystal_space, std):
+        with pytest.raises(ConfigError, match="noise std for 'm'"):
+            SyntheticSpec(crystal_space, {"m": np.zeros(16)}, {"m": std})
+
+    def test_noise_std_of_unknown_metric_rejected(self, crystal_space):
+        with pytest.raises(ConfigError, match="'x': unknown metric"):
+            SyntheticSpec(crystal_space, {"m": np.zeros(16)}, {"x": 1.0})
+
 
 class TestMakeExecutor:
     def test_one_backend_per_source_kind(self, crystal_space, bundled_dataset):
@@ -252,6 +261,18 @@ class TestDatasetIO:
         ds = TraceDataset(space, (group([3.0, 1.0, 2.0]), (), group([4.0, 8.0])))
         table = ds.table("m")
         assert table[0] == 2.0 and np.isnan(table[1]) and table[2] == 6.0
+
+    def test_unknown_header_parameter_keys_are_ignored(self, tmp_path):
+        header = {"parameters": [{"name": "p", "values": [0, 1], "unit": "dB",
+                                  "comment": "added by another tool"}]}
+        path = tmp_path / "extra.jsonl"
+        path.write_text(
+            json.dumps({"header": header}) + "\n"
+            + json.dumps({"params": {"p": 1}, "metrics": {"m": 2.0}}) + "\n"
+        )
+        loaded = load_dataset(path)
+        assert loaded.space.defs[0] == ParameterDef("p", (0.0, 1.0), unit="dB")
+        assert loaded.values(1, "m") == [2.0]
 
     def test_missing_header_requires_space(self, tmp_path):
         path = tmp_path / "no_header.jsonl"

@@ -14,7 +14,6 @@ from apexopt.surrogate import (
     KernelRows,
     fit_many_xy,
     fit_xy,
-    kernel,
     kernel_matrix,
     predict,
 )
@@ -24,11 +23,7 @@ def dense_gp_oracle(space, set_indices, values, cfg, query_indices):
     """Full-matrix-inverse GP predictions, standardization included."""
     coords = space.normalized_all()[np.asarray(set_indices, int)]
     y = np.asarray(values, float)
-    if cfg.standardize:
-        mean = y.mean()
-        std = y.std() or 1.0
-    else:
-        mean, std = 0.0, 1.0
+    mean, std = y.mean(), y.std() or 1.0
     k = kernel_matrix(cfg, coords, coords)
     k_inv = np.linalg.inv(k + (cfg.noise_variance + cfg.jitter) * np.eye(len(y)))
     q = space.normalized_all()[np.asarray(query_indices, int)]
@@ -55,6 +50,11 @@ def per_set_mean_oracle(space, set_indices, values, cfg, query_indices):
     mu_s = k_star.T @ k_inv @ ((set_means - mean) / std)
     var_s = cfg.signal_variance - np.sum(k_star * (k_inv @ k_star), axis=0)
     return mean + std * mu_s, std**2 * np.maximum(var_s, 0.0)
+
+
+def kernel(cfg, u, v):
+    """Covariance between two normalized coordinate vectors."""
+    return float(kernel_matrix(cfg, np.asarray(u, float), np.asarray(v, float))[0, 0])
 
 
 def broadcast_kernel_matrix(cfg, u, v):
@@ -101,6 +101,16 @@ class TestKernel:
     def test_matern_at_zero(self):
         cfg = KernelConfig(kind="matern52", signal_variance=3.0)
         assert kernel(cfg, [0.5], [0.5]) == pytest.approx(3.0)
+
+
+class TestKernelConfig:
+    @pytest.mark.parametrize(
+        "field", ["length_scale", "signal_variance", "noise_variance", "jitter"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            KernelConfig(**{field: value})
 
 
 class TestKernelMatrix:
@@ -303,13 +313,13 @@ class TestFitPredict:
         np.testing.assert_allclose(var_a, var_b, atol=1e-10)
 
     def test_monotone_uncertainty_when_adding_data(self):
-        # On a fixed scale (no re-standardization) the posterior variance
-        # at the new point can only shrink.
+        # On the standardized scale (variance / y_std**2) the posterior
+        # variance at the new point can only shrink.
         rng = np.random.default_rng(11)
         space = ParameterSpace(
             [ParameterDef("a", tuple(range(6))), ParameterDef("b", tuple(range(6)))]
         )
-        cfg = KernelConfig(standardize=False)
+        cfg = KernelConfig()
         for _ in range(25):
             n = int(rng.integers(2, 10))
             idx = [int(i) for i in rng.integers(0, 36, size=n)]
@@ -319,7 +329,8 @@ class TestFitPredict:
             after = fit_xy(space, idx + [new_idx], y + [0.5], cfg)
             _, var_before = predict(before, new_idx)
             _, var_after = predict(after, new_idx)
-            assert var_after <= var_before + 1e-8
+            assert (var_after / after.y_std**2
+                    <= var_before / before.y_std**2 + 1e-8)
 
     def test_fit_many_shares_inputs(self, crystal_space):
         idx = [0, 4, 8, 12]
