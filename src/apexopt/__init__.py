@@ -10,7 +10,6 @@ evaluation harness.
 
 from apexopt.domain import (
     ConstraintSpec,
-    History,
     MetricSpec,
     Observation,
     ParameterDef,
@@ -28,7 +27,6 @@ __all__ = [
     "ConstraintSpec",
     "Engine",
     "EngineConfig",
-    "History",
     "MetricSpec",
     "Observation",
     "ParameterDef",

@@ -19,8 +19,6 @@ import numpy as np
 
 from apexopt.domain import ConfigError, ParameterSpace
 
-Action = tuple  # ("stay",) or (dim, -1 or +1) for rl-step; ("goto", index) for rl-any
-
 
 def quadratic_features(coords: np.ndarray) -> np.ndarray:
     """Degree-2 polynomial features of (n, b) normalized coordinates."""
@@ -175,24 +173,21 @@ def guc_select(
 class QTable:
     """State-action value estimates for the RL baselines.
 
-    The table only grows with visited state-action pairs. The constraint
-    penalty is not stored here; callers scale it to the currently
-    observed goal range so it dominates without diverging.
+    An action is the index of the set it moves to. The table only grows
+    with visited state-action pairs. The constraint penalty is not stored
+    here; callers scale it to the currently observed goal range so it
+    dominates without diverging.
     """
 
     learning_rate: float
     discount: float
     epsilon: float
-    values: dict[int, dict[Action, float]] = field(default_factory=dict)
+    values: dict[int, dict[int, float]] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError("epsilon must be in [0, 1]")
-
-    def get(self, state: int, action: Action) -> float:
+    def get(self, state: int, action: int) -> float:
         return self.values.get(state, {}).get(action, 0.0)
 
-    def best_value(self, state: int, actions: Sequence[Action]) -> float:
+    def best_value(self, state: int, actions: Sequence[int]) -> float:
         if not actions:
             return 0.0
         return max(self.get(state, a) for a in actions)
@@ -200,10 +195,10 @@ class QTable:
     def update(
         self,
         state: int,
-        action: Action,
+        action: int,
         reward: float,
         next_state: int,
-        next_actions: Sequence[Action],
+        next_actions: Sequence[int],
     ) -> None:
         q = self.get(state, action)
         target = reward + self.discount * self.best_value(next_state, next_actions)
@@ -226,37 +221,30 @@ class _RlPolicy:
         self.rng = rng
         self.qtable = QTable(learning_rate, discount, epsilon)
         self.state: int | None = None
-        self._pending: tuple[int, Action] | None = None
+        self._pending: tuple[int, int] | None = None
 
-    def legal_actions(self, state: int, exclude: frozenset[int]) -> list[Action]:
-        raise NotImplementedError
-
-    def target_of(self, state: int, action: Action) -> int:
+    def legal_actions(self, state: int, exclude: frozenset[int]) -> list[int]:
+        """The open sets reachable from ``state`` in one action."""
         raise NotImplementedError
 
     def propose(self, state: int, exclude: frozenset[int] = frozenset()) -> int:
-        """Epsilon-greedy action from ``state``; remembers it for update()."""
+        """Epsilon-greedy next set from ``state``; remembers it for update()."""
         actions = self.legal_actions(state, exclude)
         if not actions:
-            # Every reachable target is unavailable: jump to any open set.
+            # Every reachable set is unavailable: jump to any open set.
             open_sets = [
                 i for i in range(self.space.n_sets) if i not in exclude
             ]
             if not open_sets:
                 raise ConfigError("no candidate sets available")
             target = int(open_sets[self.rng.integers(len(open_sets))])
-            self._pending = (state, ("goto", target))
-            return target
-        if self.rng.random() < self.qtable.epsilon:
-            action = actions[self.rng.integers(len(actions))]
+        elif self.rng.random() < self.qtable.epsilon:
+            target = actions[self.rng.integers(len(actions))]
         else:
-            # Ties resolve to the action with the lowest target set index.
-            action = min(
-                actions,
-                key=lambda a: (-self.qtable.get(state, a), self.target_of(state, a)),
-            )
-        self._pending = (state, action)
-        return self.target_of(state, action)
+            # Ties resolve to the lowest set index.
+            target = min(actions, key=lambda a: (-self.qtable.get(state, a), a))
+        self._pending = (state, target)
+        return target
 
     def update(self, reward: float, next_state: int) -> None:
         """Temporal-difference update for the pending action, if any."""
@@ -271,40 +259,15 @@ class _RlPolicy:
 class RlStepPolicy(_RlPolicy):
     """Adjust one parameter by one step at a time (or retain it)."""
 
-    def legal_actions(self, state: int, exclude: frozenset[int]) -> list[Action]:
-        actions: list[Action] = []
-        if state not in exclude:
-            actions.append(("stay",))
-        base = self.space.value_indices(state)
-        for dim in range(self.space.dimension):
-            for step in (-1, 1):
-                pos = base[dim] + step
-                if 0 <= pos < self.space.sizes[dim]:
-                    moved = list(base)
-                    moved[dim] = pos
-                    target = int(np.ravel_multi_index(tuple(moved), self.space.sizes))
-                    if target not in exclude:
-                        actions.append((dim, step))
-        return actions
-
-    def target_of(self, state: int, action: Action) -> int:
-        if action[0] == "stay":
-            return state
-        if action[0] == "goto":
-            return int(action[1])
-        dim, step = action
-        moved = list(self.space.value_indices(state))
-        moved[dim] += step
-        return int(np.ravel_multi_index(tuple(moved), self.space.sizes))
+    def legal_actions(self, state: int, exclude: frozenset[int]) -> list[int]:
+        return [
+            i for i in [state, *neighbor_indices(self.space, state)]
+            if i not in exclude
+        ]
 
 
 class RlAnyPolicy(_RlPolicy):
     """Transition from any parameter set to any other in one action."""
 
-    def legal_actions(self, state: int, exclude: frozenset[int]) -> list[Action]:
-        return [
-            ("goto", i) for i in range(self.space.n_sets) if i not in exclude
-        ]
-
-    def target_of(self, state: int, action: Action) -> int:
-        return int(action[1])
+    def legal_actions(self, state: int, exclude: frozenset[int]) -> list[int]:
+        return [i for i in range(self.space.n_sets) if i not in exclude]

@@ -129,9 +129,10 @@ def _get(d: Mapping, key: str, path: str, kind, default=None, required=False):
             _fail(f"{path}.{key}", "required key is missing")
         return default
     value = d[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+    if kind is float and type(value) is int:
         value = float(value)
-    if kind is not None and not isinstance(value, kind):
+    # bool is a subclass of int, so a YAML true/false needs its own check.
+    if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
         _fail(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 

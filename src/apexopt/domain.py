@@ -360,37 +360,6 @@ class Observation:
         object.__setattr__(self, "metrics", dict(self.metrics))
 
 
-class History:
-    """Ordered trial observations.
-
-    Trial indices must arrive as 1, 2, 3, ... consecutively; the engine is
-    the single writer.
-    """
-
-    def __init__(self, required_metrics: Sequence[str] = ()):
-        self.required_metrics = tuple(required_metrics)
-        self._observations: list[Observation] = []
-
-    def append(self, obs: Observation) -> None:
-        expected = len(self._observations) + 1
-        if obs.trial_index != expected:
-            raise ConfigError(
-                f"trial_index {obs.trial_index} out of order, expected {expected}"
-            )
-        missing = [m for m in self.required_metrics if m not in obs.metrics]
-        if missing:
-            raise ConfigError(
-                f"observation at trial {obs.trial_index} missing metrics {missing}"
-            )
-        self._observations.append(obs)
-
-    def __len__(self) -> int:
-        return len(self._observations)
-
-    def __iter__(self):
-        return iter(self._observations)
-
-
 @dataclass(frozen=True)
 class TerminationCriteria:
     """Stop conditions; the run ends when any configured criterion fires."""

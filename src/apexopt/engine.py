@@ -26,7 +26,6 @@ from apexopt import acquisition, baselines, confidence, surrogate
 from apexopt.domain import (
     CanonicalForm,
     ConfigError,
-    History,
     Observation,
     ParameterSet,
     ParameterSpace,
@@ -94,6 +93,13 @@ class EngineConfig:
             raise ConfigError("delta must be in (0, 1)")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+        # Written so that NaN fails every check.
+        if not 0.0 <= self.rl_epsilon <= 1.0:
+            raise ConfigError("rl_epsilon must be in [0, 1]")
+        if not 0.0 < self.rl_learning_rate <= 1.0:
+            raise ConfigError("rl_learning_rate must be in (0, 1]")
+        if not 0.0 <= self.rl_discount <= 1.0:
+            raise ConfigError("rl_discount must be in [0, 1]")
 
     @property
     def effective_beta_target(self) -> float | None:
@@ -289,9 +295,10 @@ def sorted_median(values: Sequence[float]) -> float:
 class AnalysisState:
     """Incremental per-trial analysis over a growing observation list.
 
-    The single owner of the run's observations: the trial log, each set's
-    raw readings per metric kept sorted (so counts and medians are read
-    off directly), and the raw readings in trial order for the GP targets.
+    The single owner of the run's observations: each set's raw readings
+    per metric kept sorted (so counts and medians are read off directly),
+    and the raw readings and set indices in trial order, which are the
+    trial log and the GP targets.
     Canonical values are ``sign * raw`` at the point of use; negation is
     exact, so canonical medians equal medians of canonical values.
 
@@ -312,7 +319,6 @@ class AnalysisState:
         self.delta = delta
         self.kernel = kernel
         metrics = self.canonical.metric_names
-        self.history = History(required_metrics=metrics)
         self._sorted: dict[int, dict[str, list[float]]] = {}
         self._columns: dict[str, list[float]] = {m: [] for m in metrics}
         self._set_indices: list[int] = []
@@ -323,8 +329,22 @@ class AnalysisState:
         self.trace = confidence.SuboptimalityTrace()
         self.last: Analysis | None = None
 
+    @property
+    def n(self) -> int:
+        """The number of observations so far."""
+        return len(self._set_indices)
+
     def update(self, obs: Observation) -> Analysis:
-        self.history.append(obs)
+        """Add the next observation, whose trial index must be ``n + 1``."""
+        if obs.trial_index != self.n + 1:
+            raise ConfigError(
+                f"trial_index {obs.trial_index} out of order, expected {self.n + 1}"
+            )
+        missing = [m for m in self._columns if m not in obs.metrics]
+        if missing:
+            raise ConfigError(
+                f"observation at trial {obs.trial_index} missing metrics {missing}"
+            )
         idx = obs.set_index
         readings = self._sorted.setdefault(idx, {m: [] for m in self._columns})
         for metric, column in self._columns.items():
@@ -332,7 +352,7 @@ class AnalysisState:
             column.append(value)
             bisect.insort(readings[metric], value)
         self._set_indices.append(idx)
-        n = len(self._set_indices)
+        n = self.n
         canon = self.canonical
         goal_sorted = readings[canon.goal_metric]
         # The previous snapshot plus this trial; each snapshot owns its dicts.
@@ -489,7 +509,6 @@ class RunResult:
     best_set: ParameterSet | None
     alpha: float
     beta: float
-    history: History
     trials: list[TrialLogEntry]
     terminated_by: str
     aborted: bool = False
@@ -501,7 +520,9 @@ class RunResult:
 
 
 @dataclass
-class _Choice:
+class Choice:
+    """A set picked by ``Engine.ask`` and how it was picked."""
+
     index: int
     selected_by: str
     trap: bool = False
@@ -509,7 +530,12 @@ class _Choice:
 
 
 class Engine:
-    """One optimization run: config + executor -> RunResult."""
+    """One optimization run: config + executor -> RunResult.
+
+    ``run`` drives the executor until a termination criterion fires. A
+    caller can drive the same steps itself: ``ask`` for a set, run that
+    trial, and ``tell`` its observation, once per ``ask``.
+    """
 
     def __init__(self, config: EngineConfig, executor):
         self.config = config
@@ -523,6 +549,7 @@ class Engine:
         self.trials: list[TrialLogEntry] = []
         # The stateful baseline selectors: GER's sweep or the RL policy.
         self._policy = self._build_policy()
+        self._init_sets: list[int] | None = None
 
     def _build_policy(self):
         kind = self.config.selector
@@ -545,35 +572,74 @@ class Engine:
 
     def run(self) -> RunResult:
         try:
-            self._initial_phase()
-            while self._termination_reason() is None:
-                choice = self._select_next()
-                self._execute(choice)
+            while (reason := self.termination_reason()) is None:
+                choice = self.ask()
+                # Every selector returns an open set, so a SetExhausted here is
+                # an executor fault and aborts the run like any ExecutorError.
+                obs = self.executor.run_trial(choice.index, self.analysis.n + 1)
+                self.tell(choice, obs)
         except ExecutorError as e:
             return self._result("executor-error", aborted=True, error=str(e))
         except surrogate.FitError as e:
             return self._result("fit-error", aborted=True, error=str(e))
-        return self._result(self._termination_reason() or "max_trials")
+        return self._result(reason)
 
-    def _initial_phase(self) -> None:
-        indices = initial_sample(
-            self.space,
-            self.config.n_init,
-            self.config.init_strategy,
-            self.config.suggestions,
-            self.rng,
-        )
-        for idx in indices:
-            if self._termination_reason() is not None:
-                return
-            excluded = self.executor.unavailable_sets()
+    def ask(self) -> Choice:
+        """The next set to try, never an unavailable one.
+
+        The first ``n_init`` trials take the initial design; an
+        unavailable design set is replaced by a random open one. Raises
+        ``DatasetExhausted`` when no set is open.
+        """
+        if self._init_sets is None:
+            cfg = self.config
+            self._init_sets = initial_sample(
+                self.space, cfg.n_init, cfg.init_strategy, cfg.suggestions, self.rng
+            )
+        excluded = self.executor.unavailable_sets()
+        if len(excluded) >= self.space.n_sets:
+            raise DatasetExhausted("no selectable parameter set remains")
+        n = self.analysis.n
+        if n < len(self._init_sets):
+            idx = self._init_sets[n]
             if idx in excluded:
                 idx = self._random_open_set(excluded)
-            self._execute(_Choice(index=idx, selected_by="init"))
+            return Choice(idx, "init")
+        return self._choose(self.analysis.last, excluded)
 
-    def _termination_reason(self) -> str | None:
+    def tell(self, choice: Choice, obs: Observation) -> TrialLogEntry:
+        """Record the observation of the trial ``choice`` asked for.
+
+        The observation's trial index must be ``analysis.n + 1``.
+        """
+        analysis = self.analysis.update(obs)
+        if self.config.selector in RL_SELECTORS:
+            self._policy.update(self.analysis.reward(obs), obs.set_index)
+        entry = TrialLogEntry(
+            n=analysis.n,
+            set_index=obs.set_index,
+            selected_by=choice.selected_by,
+            trap=choice.trap,
+            escape_mode=choice.escape_mode,
+            metrics=dict(obs.metrics),
+            tau=analysis.tau,
+            cumulative=analysis.cumulative,
+            theta=analysis.theta,
+            alpha=analysis.alpha,
+            alpha_b1=analysis.alpha_b1,
+            alpha_b2=analysis.alpha_b2,
+            beta=analysis.beta,
+            best_index=analysis.best_index,
+            reported_index=analysis.reported_index,
+            reported_goal_median=analysis.reported_goal_median,
+        )
+        self.trials.append(entry)
+        return entry
+
+    def termination_reason(self) -> str | None:
+        """The criterion that ends the run now, or None to go on."""
         term = self.config.termination
-        n = len(self.analysis.history)
+        n = self.analysis.n
         if n == 0:
             return None
         if term.max_trials is not None and n >= term.max_trials:
@@ -590,41 +656,6 @@ class Engine:
             return "beta_target"
         return None
 
-    def _select_next(self) -> _Choice:
-        excluded = self.executor.unavailable_sets()
-        if len(excluded) >= self.space.n_sets:
-            raise DatasetExhausted("no selectable parameter set remains")
-        return self._choose(self.analysis.last, excluded)
-
-    def _execute(self, choice: _Choice) -> None:
-        trial_index = len(self.analysis.history) + 1
-        # Every selector returns an open set, so a SetExhausted here is an
-        # executor fault and aborts the run like any other ExecutorError.
-        obs = self.executor.run_trial(choice.index, trial_index)
-        analysis = self.analysis.update(obs)
-        if self.config.selector in RL_SELECTORS:
-            self._policy.update(self.analysis.reward(obs), obs.set_index)
-        self.trials.append(
-            TrialLogEntry(
-                n=trial_index,
-                set_index=obs.set_index,
-                selected_by=choice.selected_by,
-                trap=choice.trap,
-                escape_mode=choice.escape_mode,
-                metrics=dict(obs.metrics),
-                tau=analysis.tau,
-                cumulative=analysis.cumulative,
-                theta=analysis.theta,
-                alpha=analysis.alpha,
-                alpha_b1=analysis.alpha_b1,
-                alpha_b2=analysis.alpha_b2,
-                beta=analysis.beta,
-                best_index=analysis.best_index,
-                reported_index=analysis.reported_index,
-                reported_goal_median=analysis.reported_goal_median,
-            )
-        )
-
     def _result(self, terminated_by: str, aborted: bool = False,
                 error: str | None = None) -> RunResult:
         last = self.analysis.last
@@ -634,7 +665,6 @@ class Engine:
             best_set=self.space.set_at(reported) if reported is not None else None,
             alpha=last.alpha if last is not None else 0.0,
             beta=last.beta if last is not None else 0.0,
-            history=self.analysis.history,
             trials=self.trials,
             terminated_by=terminated_by,
             aborted=aborted,
@@ -643,46 +673,46 @@ class Engine:
 
     # -- selection -----------------------------------------------------------
 
-    def _choose(self, analysis: Analysis, excluded: frozenset[int]) -> _Choice:
+    def _choose(self, analysis: Analysis, excluded: frozenset[int]) -> Choice:
         """The next set under the configured selector; never an excluded one."""
         kind = self.config.selector
         if kind in ("gp-lcb", "ei"):
             return self._choose_gp(analysis, excluded)
         if kind == "ger":
-            return _Choice(self._policy.select(excluded), kind)
+            return Choice(self._policy.select(excluded), kind)
         if kind in RL_SELECTORS:
-            return _Choice(self._policy.propose(self._policy.state, excluded), kind)
+            return Choice(self._policy.propose(self._policy.state, excluded), kind)
         g_n = baselines.SurrogateLite.fit(self.space, analysis.goal_medians)
         open_sets = [i for i in range(self.space.n_sets) if i not in excluded]
         if kind == "gel":
             pool = [i for i in analysis.d_satisfying if i not in excluded]
-            return _Choice(baselines.gel_select(g_n, pool, self.rng, open_sets), kind)
+            return Choice(baselines.gel_select(g_n, pool, self.rng, open_sets), kind)
         pool = [i for i in analysis.d_n if i not in excluded]
         sel = baselines.guc_select(
             analysis.counts, g_n, pool, self.space, self.rng, open_sets
         )
-        return _Choice(sel, kind)
+        return Choice(sel, kind)
 
-    def _choose_gp(self, analysis: Analysis, excluded: frozenset[int]) -> _Choice:
+    def _choose_gp(self, analysis: Analysis, excluded: frozenset[int]) -> Choice:
         """GP-LCB / EI selection with trap detection and escapes."""
         kind = self.config.selector
         pool = np.array([i for i in analysis.d_n if i not in excluded], dtype=int)
         if pool.size == 0:
-            return self._escape_constraint(analysis, excluded, trap=False) or _Choice(
+            return self._escape_constraint(analysis, excluded, trap=False) or Choice(
                 self._random_open_set(excluded), "random"
             )
         sel, score = self._select(analysis, pool)
         self.nts_state.observe(score)
         if not acquisition.detect_trap(self.nts_state, score):
-            return _Choice(sel, kind)
+            return Choice(sel, kind)
         mode = self.nts_state.next_escape()
         if mode == acquisition.ESCAPE_GOAL:
             sel = acquisition.escape_goal_outlier(
                 analysis.counts, pool, lambda sub: self._select(analysis, sub)[0]
             )
-            return _Choice(sel, f"escape:{mode}", trap=True, escape_mode=mode)
+            return Choice(sel, f"escape:{mode}", trap=True, escape_mode=mode)
         # With no open violating set, keep the unrestricted selection.
-        return self._escape_constraint(analysis, excluded, trap=True) or _Choice(
+        return self._escape_constraint(analysis, excluded, trap=True) or Choice(
             sel, kind, trap=True, escape_mode=mode
         )
 
@@ -698,7 +728,7 @@ class Engine:
 
     def _escape_constraint(
         self, analysis: Analysis, excluded: frozenset[int], trap: bool
-    ) -> _Choice | None:
+    ) -> Choice | None:
         """Constraint-noise escape over the observed-violating sets; None
         when no such set is open or there are no constraints."""
         d_prime = [i for i in analysis.d_violating if i not in excluded]
@@ -713,12 +743,10 @@ class Engine:
             analysis.kappa,
         )
         mode = acquisition.ESCAPE_CONSTRAINT
-        return _Choice(sel, f"escape:{mode}", trap=trap, escape_mode=mode)
+        return Choice(sel, f"escape:{mode}", trap=trap, escape_mode=mode)
 
     def _random_open_set(self, excluded: frozenset[int]) -> int:
         pool = [i for i in range(self.space.n_sets) if i not in excluded]
-        if not pool:
-            raise DatasetExhausted("no selectable parameter set remains")
         return int(pool[self.rng.integers(len(pool))])
 
 

@@ -175,7 +175,7 @@ class TestRlStep:
         space = make_line_space(3)
         policy = RlStepPolicy(space, np.random.default_rng(0), epsilon=0.0, **RL_RATES)
         policy.update(0.0, 1)
-        policy.qtable.values[1] = {("stay",): 0.0, (0, -1): 0.1, (0, 1): 5.0}
+        policy.qtable.values[1] = {1: 0.0, 0: 0.1, 2: 5.0}
         for _ in range(5):
             assert policy.propose(1) == 2
             policy._pending = None
@@ -185,10 +185,10 @@ class TestRlStep:
         policy = RlStepPolicy(space, np.random.default_rng(0),
                               epsilon=EngineConfig.rl_epsilon, **RL_RATES)
         actions = policy.legal_actions(0, frozenset())
-        assert (0, -1) not in actions
-        assert set(actions) == {("stay",), (0, 1)}
+        assert -1 not in actions
+        assert set(actions) == {0, 1}
         actions_top = policy.legal_actions(2, frozenset())
-        assert (0, 1) not in actions_top
+        assert 3 not in actions_top
 
     def test_exhausted_targets_are_never_proposed(self):
         space = make_line_space(3)
@@ -213,9 +213,9 @@ class TestRlStep:
             visited.append(state)
         assert 2 in visited
         # Against the value-iteration oracle the greedy first move from 1
-        # is "step up" (the only action leading to the reward).
+        # is "step up" to set 2 (the only action leading to the reward).
         q1 = policy.qtable.values[1]
-        assert max(q1, key=q1.get) == (0, 1)
+        assert max(q1, key=q1.get) == 2
 
     def test_update_fixed_point(self):
         table = QTable(learning_rate=0.1, discount=0.9, epsilon=0.0)
@@ -242,7 +242,7 @@ class TestRlAny:
         space = make_line_space(4)
         policy = RlAnyPolicy(space, np.random.default_rng(0), epsilon=0.0, **RL_RATES)
         policy.update(0.0, 0)
-        policy.qtable.values[0] = {("goto", 3): 4.0}
+        policy.qtable.values[0] = {3: 4.0}
         assert policy.propose(0) == 3
 
     def test_reaches_reward_no_later_than_rl_step(self):

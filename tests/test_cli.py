@@ -328,7 +328,27 @@ def _bundled_variant(tmp_path, config: str, mutate) -> str:
      "noise std for 'cost'"),
     (lambda c: c["executor"]["synthetic"]["noise_std"].update(cost=math.nan),
      "noise std for 'cost'"),
-], ids=["text-values", "nan-length-scale", "inf-noise", "nan-noise"])
+    # bool is a subclass of int, but a YAML boolean is not a count.
+    (lambda c: c["engine"].update(n_init=True), "engine.n_init: expected int"),
+    (lambda c: c["termination"].update(max_trials=True),
+     "termination.max_trials: expected int"),
+    (lambda c: c["campaign"].update(jobs=True), "campaign.jobs: expected int"),
+    (lambda c: c["engine"].update(rl_epsilon=math.nan), "rl_epsilon"),
+    (lambda c: c["engine"].update(rl_epsilon=-0.1), "rl_epsilon"),
+    (lambda c: c["engine"].update(rl_epsilon=1.5), "rl_epsilon"),
+    (lambda c: c["engine"].update(rl_learning_rate=math.nan), "rl_learning_rate"),
+    (lambda c: c["engine"].update(rl_learning_rate=-5.0), "rl_learning_rate"),
+    (lambda c: c["engine"].update(rl_learning_rate=0.0), "rl_learning_rate"),
+    (lambda c: c["engine"].update(rl_learning_rate=1.5), "rl_learning_rate"),
+    (lambda c: c["engine"].update(rl_discount=math.nan), "rl_discount"),
+    (lambda c: c["engine"].update(rl_discount=-0.1), "rl_discount"),
+    (lambda c: c["engine"].update(rl_discount=7.0), "rl_discount"),
+], ids=["text-values", "nan-length-scale", "inf-noise", "nan-noise",
+        "bool-n-init", "bool-max-trials", "bool-jobs",
+        "nan-epsilon", "negative-epsilon", "epsilon-above-1",
+        "nan-learning-rate", "negative-learning-rate", "zero-learning-rate",
+        "learning-rate-above-1", "nan-discount", "negative-discount",
+        "discount-above-1"])
 def test_bad_config_number_exits_2_naming_the_field(tmp_path, capsys, mutate,
                                                       field):
     path = _bundled_variant(tmp_path, "synthetic_demo.yaml", mutate)

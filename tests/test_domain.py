@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from apexopt.domain import (
     ConfigError,
     ConstraintSpec,
-    History,
     MetricSpec,
-    Observation,
     ParameterDef,
     ParameterSet,
     ParameterSpace,
@@ -171,19 +169,6 @@ class TestNormalizedDistance:
         a = ParameterSet((-5.0, 2.0))
         b = ParameterSet((-3.0, 2.0))
         assert normalized_distance(crystal_space, a, b) == pytest.approx(0.4)
-
-
-class TestObservationsAndHistory:
-    def test_history_enforces_consecutive_trials(self):
-        h = History()
-        h.append(Observation(1, 0, {"energy": 1.0}))
-        with pytest.raises(ConfigError, match="out of order"):
-            h.append(Observation(3, 0, {"energy": 1.0}))
-
-    def test_history_requires_metrics(self):
-        h = History(required_metrics=("energy", "prr"))
-        with pytest.raises(ConfigError, match="missing metrics"):
-            h.append(Observation(1, 0, {"energy": 1.0}))
 
 
 class TestTermination:

@@ -1,8 +1,11 @@
 """Engine loop: initial sampling, filtering, bests, termination, escapes."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
 
+from apexopt.cli import parse_config
 from apexopt.domain import (
     ConfigError,
     ConstraintSpec,
@@ -14,6 +17,7 @@ from apexopt.domain import (
     canonicalize,
 )
 from apexopt.engine import (
+    SELECTOR_ALIASES,
     AnalysisState,
     Engine,
     EngineConfig,
@@ -27,6 +31,7 @@ from apexopt.executor import (
     SetExhausted,
     SyntheticExecutor,
     SyntheticSpec,
+    make_executor,
 )
 from apexopt.surrogate import KernelConfig
 from tests.conftest import fail_fit_on_call, make_dataset, make_line_space
@@ -34,6 +39,11 @@ from tests.conftest import fail_fit_on_call, make_dataset, make_line_space
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def observations_of(result):
+    """The run's observations, rebuilt from its trial log."""
+    return [Observation(t.n, t.set_index, t.metrics) for t in result.trials]
 
 
 @pytest.fixture
@@ -88,7 +98,7 @@ class TestFilterSatisfying:
 
     @staticmethod
     def observe(state, set_index, prr_values):
-        for k, prr in enumerate(prr_values, start=len(state.history) + 1):
+        for k, prr in enumerate(prr_values, start=state.n + 1):
             analysis = state.update(
                 Observation(k, set_index, {"energy": 100.0 + k, "prr": prr})
             )
@@ -124,10 +134,11 @@ class TestFilterSatisfying:
                            termination=TerminationCriteria(max_trials=40),
                            selector="gp-lcb", seed=3)
         result = Engine(cfg, SyntheticExecutor(noisy, 3)).run()
-        analyses = reanalyze(space, req, list(result.history), cfg.delta, cfg.kernel)
+        observations = observations_of(result)
+        analyses = reanalyze(space, req, observations, cfg.delta, cfg.kernel)
         prr: dict[int, list[float]] = {}
         moved = set()
-        for obs, analysis in zip(result.history, analyses):
+        for obs, analysis in zip(observations, analyses):
             prr.setdefault(obs.set_index, []).append(obs.metrics["prr"])
             ok = {i for i, v in prr.items() if np.median(v) >= 65.0}
             vio = sorted(set(prr) - ok)
@@ -137,6 +148,26 @@ class TestFilterSatisfying:
             assert all(type(i) is int for i in analysis.d_n)
             moved |= set(vio)
         assert moved and analyses[-1].d_satisfying
+
+
+class TestAnalysisStateUpdate:
+    """The trial-log checks run before the observation is read."""
+
+    def test_update_enforces_consecutive_trials(self, crystal_space,
+                                                energy_prr_requirement):
+        state = AnalysisState(crystal_space, energy_prr_requirement, 0.1,
+                              KernelConfig())
+        state.update(Observation(1, 0, {"energy": 1.0, "prr": 70.0}))
+        with pytest.raises(ConfigError, match="out of order"):
+            state.update(Observation(3, 0, {"energy": 1.0, "prr": 70.0}))
+        assert state.n == 1
+
+    def test_update_requires_metrics(self, crystal_space, energy_prr_requirement):
+        state = AnalysisState(crystal_space, energy_prr_requirement, 0.1,
+                              KernelConfig())
+        with pytest.raises(ConfigError, match="missing metrics"):
+            state.update(Observation(1, 0, {"energy": 1.0}))
+        assert state.n == 0 and state.last is None
 
 
 class TestCurrentBest:
@@ -408,7 +439,8 @@ class TestReanalysis:
                            termination=TerminationCriteria(max_trials=20),
                            selector="gp-lcb", seed=10)
         result = Engine(cfg, SyntheticExecutor(spec, 10)).run()
-        analyses = reanalyze(space, req, list(result.history), cfg.delta, cfg.kernel)
+        analyses = reanalyze(space, req, observations_of(result), cfg.delta,
+                             cfg.kernel)
         assert len(analyses) == len(result.trials)
         for entry, analysis in zip(result.trials, analyses):
             assert analysis.alpha == pytest.approx(entry.alpha, abs=1e-9)
@@ -491,3 +523,24 @@ class TestGoalMetricAlsoConstrained:
                                                     canon.constraints[0])
         assert sorted(len(v) for v in raw.values()) == [1, 2, 3, 4]
         assert analysis.d_violating == (2,)
+
+
+@pytest.mark.parametrize("selector", sorted(set(SELECTOR_ALIASES.values())))
+@pytest.mark.parametrize("config", ["crystal_replay.yaml", "synthetic_demo.yaml"])
+def test_ask_tell_by_hand_matches_run(config, selector):
+    bundle = parse_config(resources.files("apexopt.data") / config)
+    cfg = bundle.engine_config(selector=selector)
+
+    def engine():
+        return Engine(cfg, make_executor(bundle.source, cfg.space, cfg.seed,
+                                         cfg.requirement.metric_names))
+
+    result = engine().run()
+    assert not result.aborted
+    eng = engine()
+    while eng.termination_reason() is None:
+        choice = eng.ask()
+        obs = eng.executor.run_trial(choice.index, eng.analysis.n + 1)
+        assert eng.tell(choice, obs) is eng.trials[-1]
+    assert eng.trials == result.trials
+    assert eng.termination_reason() == result.terminated_by
