@@ -174,7 +174,7 @@ def delta_metric(
 
 
 def escape_constraint(
-    goal_model: GPModel,
+    goal_mean: np.ndarray,
     constraint_models: Mapping[str, GPModel],
     unsatisfying: Sequence[int],
     f_c_plus: Mapping[str, float],
@@ -187,11 +187,11 @@ def escape_constraint(
     the capped best constraint observation, minus the predicted goal
     improvement normalized by the best goal value. With multiple
     constraints each set keeps its minimum; the overall argmin wins,
-    lowest index on ties.
+    lowest index on ties. ``goal_mean`` is the goal surrogate's mean over
+    every set.
     """
     cand = _as_candidates(unsatisfying)
-    goal_mean, _ = goal_model.predict_sets(cand)
-    improvement = f_best - goal_mean
+    improvement = f_best - goal_mean[cand]
     best_delta = np.full(cand.shape, np.inf)
     for metric, model in constraint_models.items():
         mean, var = model.predict_sets(cand)

@@ -65,31 +65,26 @@ def _sorted_pool(candidates: Iterable[int]) -> np.ndarray:
     return np.unique(np.asarray(list(candidates), dtype=int))
 
 
-def _random_choice(pool: np.ndarray, rng: np.random.Generator) -> int:
-    return int(pool[rng.integers(pool.size)])
-
-
-def _random_fallback(fallback_pool: Iterable[int], rng: np.random.Generator) -> int:
-    fallback = _sorted_pool(fallback_pool)
-    if fallback.size == 0:
-        raise ConfigError("no candidate sets available")
-    return _random_choice(fallback, rng)
-
-
-def gel_select(
-    g_n: SurrogateLite,
-    candidates: Iterable[int],
-    rng: np.random.Generator,
-    fallback_pool: Iterable[int],
+def random_open_set(
+    space: ParameterSpace, exclude: frozenset[int], rng: np.random.Generator
 ) -> int:
+    """A uniform draw over the sets not excluded, in ascending order.
+
+    At least one set must be open.
+    """
+    pool = [i for i in range(space.n_sets) if i not in exclude]
+    return int(pool[rng.integers(len(pool))])
+
+
+def gel_select(g_n: SurrogateLite, candidates: Iterable[int]) -> int | None:
     """Exploit the fitted surrogate: argmin over the satisfying sets.
 
-    With no satisfying set (or no fit yet) a uniform random set is drawn
-    from the fallback pool.
+    None with no satisfying set or no fit yet; the caller then draws an
+    open set at random.
     """
     pool = _sorted_pool(candidates)
     if pool.size == 0 or not g_n.fitted:
-        return _random_fallback(fallback_pool, rng)
+        return None
     return int(pool[np.argmin(g_n.predict(pool))])
 
 
@@ -153,19 +148,18 @@ def guc_select(
     candidates: Iterable[int],
     space: ParameterSpace,
     rng: np.random.Generator,
-    fallback_pool: Iterable[int],
-) -> int:
+) -> int | None:
     """Pick the most uncertain region, then the best fitted value within it.
 
-    With no candidate a uniform random set is drawn from the fallback pool.
+    None with no candidate; the caller then draws an open set at random.
     """
     pool = _sorted_pool(candidates)
     if pool.size == 0:
-        return _random_fallback(fallback_pool, rng)
+        return None
     zeta = uncertainty_scores(space, counts, pool)
     most_uncertain = pool[zeta == zeta.max()]
     if not g_n.fitted:
-        return _random_choice(most_uncertain, rng)
+        return int(most_uncertain[rng.integers(most_uncertain.size)])
     return int(most_uncertain[np.argmin(g_n.predict(most_uncertain))])
 
 
@@ -232,12 +226,7 @@ class _RlPolicy:
         actions = self.legal_actions(state, exclude)
         if not actions:
             # Every reachable set is unavailable: jump to any open set.
-            open_sets = [
-                i for i in range(self.space.n_sets) if i not in exclude
-            ]
-            if not open_sets:
-                raise ConfigError("no candidate sets available")
-            target = int(open_sets[self.rng.integers(len(open_sets))])
+            target = random_open_set(self.space, exclude, self.rng)
         elif self.rng.random() < self.qtable.epsilon:
             target = actions[self.rng.integers(len(actions))]
         else:

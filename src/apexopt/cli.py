@@ -159,30 +159,19 @@ def _present(block: Any, kinds: Mapping[str, type], path: str,
 
 # -- config model -------------------------------------------------------------
 
+@dataclasses.dataclass
 class ConfigBundle:
     """Everything parsed from one YAML file."""
 
-    def __init__(
-        self,
-        path: Path,
-        space: ParameterSpace,
-        requirement: Requirement,
-        source: TrialSource,
-        engine_block: dict,
-        termination: TerminationCriteria,
-        campaign_block: dict,
-        output_dir: Path,
-        protocol_name: str,
-    ):
-        self.path = path
-        self.space = space
-        self.requirement = requirement
-        self.source = source
-        self.engine_block = engine_block
-        self.termination = termination
-        self.campaign_block = campaign_block
-        self.output_dir = output_dir
-        self.protocol_name = protocol_name
+    path: Path
+    space: ParameterSpace
+    requirement: Requirement
+    source: TrialSource
+    engine_block: dict
+    termination: TerminationCriteria
+    campaign_block: dict
+    output_dir: Path
+    protocol_name: str
 
     def engine_config(self, seed: int | None = None,
                       selector: str | None = None,
@@ -238,29 +227,8 @@ def parse_config(path: str | Path) -> ConfigBundle:
 
     protocol = _as_mapping(root.get("protocol"), "protocol")
     _check_keys(protocol, ["name", "parameters"], "protocol")
-    params = protocol.get("parameters")
-    if not isinstance(params, list) or not params:
-        _fail("protocol.parameters", "expected a non-empty list")
-    space = ParameterSpace([
-        ParameterDef(**_present(p, _PARAMETER_KEYS, f"protocol.parameters[{i}]",
-                                required=("name", "values")))
-        for i, p in enumerate(params)
-    ])
-
-    req_block = _as_mapping(root.get("requirement"), "requirement")
-    goal = _present(req_block.get("goal"), _GOAL_KEYS, "requirement.goal",
-                    required=("metric", "direction"))
-    goal = MetricSpec(name=goal.pop("metric"), **goal)
-    constraints = [
-        ConstraintSpec(**_present(c, _CONSTRAINT_KEYS, f"requirement.constraints[{i}]",
-                                  required=("metric", "relation", "bound")))
-        for i, c in enumerate(req_block.get("constraints") or [])
-    ]
-    requirement = Requirement(goal, tuple(constraints), **_present(
-        req_block, {"confidence_target": float}, "requirement",
-        also=("goal", "constraints"),
-    ))
-
+    space = _parse_space(protocol.get("parameters"), "protocol.parameters")
+    requirement = _parse_requirement(root.get("requirement"), "requirement")
     source = _parse_executor(
         _as_mapping(root.get("executor"), "executor"), path.parent, space
     )
@@ -285,6 +253,33 @@ def parse_config(path: str | Path) -> ConfigBundle:
         output_dir=output_dir,
         protocol_name=_get(protocol, "name", "protocol", str, ""),
     )
+
+
+def _parse_space(params: Any, path: str) -> ParameterSpace:
+    """The space of a non-empty list of parameter mappings."""
+    if not isinstance(params, list) or not params:
+        _fail(path, "expected a non-empty list")
+    return ParameterSpace([
+        ParameterDef(**_present(p, _PARAMETER_KEYS, f"{path}[{i}]",
+                                required=("name", "values")))
+        for i, p in enumerate(params)
+    ])
+
+
+def _parse_requirement(block: Any, path: str) -> Requirement:
+    """The goal, constraints and confidence target of a requirement mapping."""
+    block = _as_mapping(block, path)
+    goal = _present(block.get("goal"), _GOAL_KEYS, f"{path}.goal",
+                    required=("metric", "direction"))
+    goal = MetricSpec(name=goal.pop("metric"), **goal)
+    constraints = [
+        ConstraintSpec(**_present(c, _CONSTRAINT_KEYS, f"{path}.constraints[{i}]",
+                                  required=("metric", "relation", "bound")))
+        for i, c in enumerate(block.get("constraints") or [])
+    ]
+    return Requirement(goal, tuple(constraints), **_present(
+        block, {"confidence_target": float}, path, also=("goal", "constraints"),
+    ))
 
 
 def _parse_executor(
@@ -456,28 +451,24 @@ def run_result_to_dict(result: RunResult, config: EngineConfig) -> dict:
     }
 
 
-def load_run_result(path: str | Path) -> dict:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def reanalyze_run_file(path: str | Path) -> list:
-    """Rebuild the per-trial analysis from a persisted run-result JSON."""
-    doc = load_run_result(path)
-    cfg = doc["config"]
-    space = ParameterSpace([ParameterDef(**p) for p in cfg["parameters"]])
-    req_raw = cfg["requirement"]
-    requirement = Requirement(
-        goal=MetricSpec(req_raw["goal"]["metric"], req_raw["goal"]["direction"],
-                        req_raw["goal"].get("unit", "")),
-        constraints=tuple(ConstraintSpec(**c) for c in req_raw["constraints"]),
-        confidence_target=req_raw.get("confidence_target"),
-    )
-    kernel = KernelConfig(**cfg["kernel"])
+    """Rebuild the per-trial analysis from a persisted run-result JSON.
+
+    Its config block is read by the parsers of the YAML config's blocks.
+    """
+    with Path(path).open("r", encoding="utf-8") as fh:
+        doc = _as_mapping(json.load(fh), str(path))
+    cfg = _as_mapping(doc.get("config"), "config")
     observations = [
         Observation(t["n"], t["set_index"], t["metrics"]) for t in doc["trials"]
     ]
-    return reanalyze(space, requirement, observations, cfg["delta"], kernel)
+    return reanalyze(
+        _parse_space(cfg.get("parameters"), "config.parameters"),
+        _parse_requirement(cfg.get("requirement"), "config.requirement"),
+        observations,
+        _get(cfg, "delta", "config", float, required=True),
+        KernelConfig(**_present(cfg.get("kernel"), _KERNEL_KEYS, "config.kernel")),
+    )
 
 
 def write_trials_csv(result: RunResult, config: EngineConfig, path: Path) -> None:

@@ -148,7 +148,7 @@ class ParameterSpace:
         for d, v in zip(self.defs, values):
             try:
                 per_dim.append(d.values.index(float(v)))
-            except ValueError:
+            except (TypeError, ValueError):
                 raise ConfigError(
                     f"value {v!r} not allowed for parameter {d.name!r}"
                 ) from None

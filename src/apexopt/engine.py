@@ -251,7 +251,6 @@ class Analysis:
 
     n: int
     kappa: float
-    goal_model: GPModel
     constraint_models: dict[str, GPModel]
     goal_mean: np.ndarray
     goal_std: np.ndarray
@@ -374,11 +373,10 @@ class AnalysisState:
         models = surrogate.fit_many_xy(
             self.space, self._set_indices, targets, self.kernel, rows=self._rows
         )
-        goal_model = models["goal"]
         constraint_models = {
             c.metric: models[f"c:{c.metric}"] for c in canon.constraints
         }
-        goal_mean, goal_var = goal_model.predict_all()
+        goal_mean, goal_var = models["goal"].predict_all()
         goal_std = np.sqrt(goal_var)
 
         d_n, d_sat, d_vio = self.split()
@@ -421,7 +419,6 @@ class AnalysisState:
         self.last = Analysis(
             n=n,
             kappa=kappa_n,
-            goal_model=goal_model,
             constraint_models=constraint_models,
             goal_mean=goal_mean,
             goal_std=goal_std,
@@ -534,7 +531,7 @@ class Engine:
 
     ``run`` drives the executor until a termination criterion fires. A
     caller can drive the same steps itself: ``ask`` for a set, run that
-    trial, and ``tell`` its observation, once per ``ask``.
+    trial, and ``tell`` its observation.
     """
 
     def __init__(self, config: EngineConfig, executor):
@@ -550,6 +547,8 @@ class Engine:
         # The stateful baseline selectors: GER's sweep or the RL policy.
         self._policy = self._build_policy()
         self._init_sets: list[int] | None = None
+        # Handed out by ask() until tell() records its observation.
+        self._pending: Choice | None = None
 
     def _build_policy(self):
         kind = self.config.selector
@@ -589,8 +588,11 @@ class Engine:
 
         The first ``n_init`` trials take the initial design; an
         unavailable design set is replaced by a random open one. Raises
-        ``DatasetExhausted`` when no set is open.
+        ``DatasetExhausted`` when no set is open. Until ``tell`` records
+        it, every call returns the same choice and decides nothing anew.
         """
+        if self._pending is not None:
+            return self._pending
         if self._init_sets is None:
             cfg = self.config
             self._init_sets = initial_sample(
@@ -603,16 +605,27 @@ class Engine:
         if n < len(self._init_sets):
             idx = self._init_sets[n]
             if idx in excluded:
-                idx = self._random_open_set(excluded)
-            return Choice(idx, "init")
-        return self._choose(self.analysis.last, excluded)
+                idx = baselines.random_open_set(self.space, excluded, self.rng)
+            self._pending = Choice(idx, "init")
+        else:
+            self._pending = self._choose(self.analysis.last, excluded)
+        return self._pending
 
     def tell(self, choice: Choice, obs: Observation) -> TrialLogEntry:
         """Record the observation of the trial ``choice`` asked for.
 
-        The observation's trial index must be ``analysis.n + 1``.
+        ``choice`` must be the one ``ask`` returned, the observation must
+        be of its set, and its trial index must be ``analysis.n + 1``.
+        An observation rejected with ConfigError leaves the engine as it was.
         """
+        if choice != self._pending:
+            raise ConfigError(f"{choice} is not the pending ask() choice")
+        if obs.set_index != choice.index:
+            raise ConfigError(
+                f"observation of set {obs.set_index} told for set {choice.index}"
+            )
         analysis = self.analysis.update(obs)
+        self._pending = None
         if self.config.selector in RL_SELECTORS:
             self._policy.update(self.analysis.reward(obs), obs.set_index)
         entry = TrialLogEntry(
@@ -683,14 +696,14 @@ class Engine:
         if kind in RL_SELECTORS:
             return Choice(self._policy.propose(self._policy.state, excluded), kind)
         g_n = baselines.SurrogateLite.fit(self.space, analysis.goal_medians)
-        open_sets = [i for i in range(self.space.n_sets) if i not in excluded]
         if kind == "gel":
             pool = [i for i in analysis.d_satisfying if i not in excluded]
-            return Choice(baselines.gel_select(g_n, pool, self.rng, open_sets), kind)
-        pool = [i for i in analysis.d_n if i not in excluded]
-        sel = baselines.guc_select(
-            analysis.counts, g_n, pool, self.space, self.rng, open_sets
-        )
+            sel = baselines.gel_select(g_n, pool)
+        else:
+            pool = [i for i in analysis.d_n if i not in excluded]
+            sel = baselines.guc_select(analysis.counts, g_n, pool, self.space, self.rng)
+        if sel is None:
+            sel = baselines.random_open_set(self.space, excluded, self.rng)
         return Choice(sel, kind)
 
     def _choose_gp(self, analysis: Analysis, excluded: frozenset[int]) -> Choice:
@@ -699,7 +712,7 @@ class Engine:
         pool = np.array([i for i in analysis.d_n if i not in excluded], dtype=int)
         if pool.size == 0:
             return self._escape_constraint(analysis, excluded, trap=False) or Choice(
-                self._random_open_set(excluded), "random"
+                baselines.random_open_set(self.space, excluded, self.rng), "random"
             )
         sel, score = self._select(analysis, pool)
         self.nts_state.observe(score)
@@ -735,7 +748,7 @@ class Engine:
         if not (d_prime and analysis.constraint_models):
             return None
         sel = acquisition.escape_constraint(
-            analysis.goal_model,
+            analysis.goal_mean,
             analysis.constraint_models,
             d_prime,
             analysis.f_c_plus,
@@ -744,10 +757,6 @@ class Engine:
         )
         mode = acquisition.ESCAPE_CONSTRAINT
         return Choice(sel, f"escape:{mode}", trap=trap, escape_mode=mode)
-
-    def _random_open_set(self, excluded: frozenset[int]) -> int:
-        pool = [i for i in range(self.space.n_sets) if i not in excluded]
-        return int(pool[self.rng.integers(len(pool))])
 
 
 def reanalyze(

@@ -90,6 +90,8 @@ class DatasetFormatError(ConfigError):
 class TraceRecord:
     run_id: str
     metrics: Mapping[str, float]
+    # The JSONL line or CSV row the record was loaded from; 0 if made in code.
+    line: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -146,9 +148,9 @@ def _nonfinite(metrics: Mapping[str, float]) -> list[str]:
     return [name for name, value in metrics.items() if not math.isfinite(value)]
 
 
-def _record(run_id: str, metrics, where: str) -> TraceRecord:
+def _record(run_id: str, metrics, line: int, where: str) -> TraceRecord:
     try:
-        rec = TraceRecord(run_id=run_id, metrics=metrics)
+        rec = TraceRecord(run_id=run_id, metrics=metrics, line=line)
     except (AttributeError, TypeError, ValueError):
         raise DatasetFormatError(f"{where}: metrics must map names to numbers") from None
     bad = _nonfinite(rec.metrics)
@@ -162,7 +164,24 @@ def _params_to_index(space: ParameterSpace, params: Mapping[str, float]) -> int:
         values = [params[d.name] for d in space.defs]
     except KeyError as e:
         raise DatasetFormatError(f"record missing parameter {e.args[0]!r}") from None
+    except TypeError:
+        raise DatasetFormatError("params must map names to values") from None
     return space.index_of(values)
+
+
+def _group(
+    space: ParameterSpace, rows: Sequence[tuple], path: Path
+) -> tuple[tuple[TraceRecord, ...], ...]:
+    """Per-set record groups of ``(line, params, metrics, run_id)`` rows."""
+    groups: list[list[TraceRecord]] = [[] for _ in range(space.n_sets)]
+    for line, params, metrics, run_id in rows:
+        where = f"{path}:{line}"
+        try:
+            idx = _params_to_index(space, params)
+        except ConfigError as e:
+            raise DatasetFormatError(f"{where}: {e}") from None
+        groups[idx].append(_record(run_id, metrics, line, where))
+    return tuple(tuple(g) for g in groups)
 
 
 def _space_from_header(header: Mapping) -> ParameterSpace:
@@ -197,7 +216,7 @@ def load_dataset(
 
 def _load_jsonl(path: Path, space: ParameterSpace | None) -> TraceDataset:
     header = None
-    rows: list[tuple[int, dict]] = []
+    rows = []
     with path.open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -207,36 +226,29 @@ def _load_jsonl(path: Path, space: ParameterSpace | None) -> TraceDataset:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DatasetFormatError(f"{path}:{line_no}: invalid JSON: {e}") from None
+            if not isinstance(obj, dict):
+                raise DatasetFormatError(f"{path}:{line_no}: expected a JSON object")
             if "header" in obj:
                 if header is not None:
                     raise DatasetFormatError(f"{path}:{line_no}: duplicate header")
                 header = obj["header"]
+            elif "params" not in obj or "metrics" not in obj:
+                raise DatasetFormatError(
+                    f"{path}:{line_no}: record needs 'params' and 'metrics'"
+                )
             else:
-                rows.append((line_no, obj))
+                rows.append((line_no, obj["params"], obj["metrics"],
+                             str(obj.get("run_id", f"line{line_no}"))))
     if space is None:
         if header is None:
             raise DatasetFormatError(
                 f"{path}: no header line and no explicit parameter space"
             )
         space = _space_from_header(header)
-    groups: list[list[TraceRecord]] = [[] for _ in range(space.n_sets)]
-    for line_no, obj in rows:
-        if "params" not in obj or "metrics" not in obj:
-            raise DatasetFormatError(
-                f"{path}:{line_no}: record needs 'params' and 'metrics'"
-            )
-        try:
-            idx = _params_to_index(space, obj["params"])
-        except ConfigError as e:
-            raise DatasetFormatError(f"{path}:{line_no}: {e}") from None
-        groups[idx].append(
-            _record(str(obj.get("run_id", f"line{line_no}")), obj["metrics"],
-                    f"{path}:{line_no}")
-        )
     provenance = {"path": str(path)}
     if header:
         provenance["header"] = header
-    return TraceDataset(space, tuple(tuple(g) for g in groups), provenance)
+    return TraceDataset(space, _group(space, rows, path), provenance)
 
 
 def _load_csv(path: Path, space: ParameterSpace | None) -> TraceDataset:
@@ -266,16 +278,7 @@ def _load_csv(path: Path, space: ParameterSpace | None) -> TraceDataset:
             values = sorted({p[name] for _, p, _, _ in parsed})
             defs.append(ParameterDef(name=name, values=tuple(values)))
         space = ParameterSpace(defs)
-    groups: list[list[TraceRecord]] = [[] for _ in range(space.n_sets)]
-    for row_no, params, metrics, run_id in parsed:
-        try:
-            idx = _params_to_index(space, params)
-        except ConfigError as e:
-            raise DatasetFormatError(f"{path}:{row_no}: {e}") from None
-        groups[idx].append(_record(run_id, metrics, f"{path}:{row_no}"))
-    return TraceDataset(
-        space, tuple(tuple(g) for g in groups), {"path": str(path)}
-    )
+    return TraceDataset(space, _group(space, parsed, path), {"path": str(path)})
 
 
 def save_dataset(dataset: TraceDataset, path: Union[str, Path],
@@ -575,58 +578,31 @@ class DatasetReport:
         return lines
 
 
-def validate_dataset(
-    path: Union[str, Path],
-    n_r: int = 6,
-    space: ParameterSpace | None = None,
-    expected_metrics: Sequence[str] | None = None,
-) -> DatasetReport:
-    """Check coverage, per-set record counts, metrics, and run-id uniqueness."""
-    path = Path(path)
-    dataset = load_dataset(path, space)
-    expected = (
-        tuple(expected_metrics)
-        if expected_metrics is not None
-        else dataset.metric_names()
-    )
+def validate_dataset(path: Union[str, Path], n_r: int = 6) -> DatasetReport:
+    """Check coverage, per-set record counts, metrics, and run-id uniqueness.
+
+    Record-level findings come in file order and name the JSONL line or
+    CSV row of their record.
+    """
+    dataset = load_dataset(path)
     counts = dataset.counts()
     shortfalls = [(i, c) for i, c in enumerate(counts) if c < n_r]
-    missing: list[tuple[int, str]] = []
-    seen_ids: dict[str, int] = {}
-    duplicates = []
-    line_no = 0
-    # Re-walk the file to report line numbers for record-level findings.
-    if path.suffix.lower() != ".csv":
-        with path.open("r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                if "header" in obj:
-                    continue
-                for m in expected:
-                    if m not in obj.get("metrics", {}):
-                        missing.append((line_no, m))
-                run_id = str(obj.get("run_id", f"line{line_no}"))
-                if run_id in seen_ids:
-                    if run_id not in duplicates:
-                        duplicates.append(run_id)
-                else:
-                    seen_ids[run_id] = line_no
-    else:
-        for idx in range(dataset.space.n_sets):
-            for rec in dataset.records_by_set[idx]:
-                for m in expected:
-                    if m not in rec.metrics:
-                        missing.append((-1, m))
-                if rec.run_id in seen_ids:
-                    if rec.run_id not in duplicates:
-                        duplicates.append(rec.run_id)
-                else:
-                    seen_ids[rec.run_id] = -1
+    records = sorted(
+        (rec for group in dataset.records_by_set for rec in group),
+        key=lambda rec: rec.line,
+    )
+    expected = dataset.metric_names()
+    missing = [
+        (rec.line, m) for rec in records for m in expected if m not in rec.metrics
+    ]
+    seen_ids: set[str] = set()
+    duplicates: list[str] = []
+    for rec in records:
+        if rec.run_id in seen_ids and rec.run_id not in duplicates:
+            duplicates.append(rec.run_id)
+        seen_ids.add(rec.run_id)
     return DatasetReport(
-        path=str(path),
+        path=str(Path(path)),
         n_sets=dataset.space.n_sets,
         total_records=dataset.n_records,
         covered_sets=sum(1 for c in counts if c > 0),

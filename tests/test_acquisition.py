@@ -233,7 +233,8 @@ class TestEscapeConstraint:
     def test_tie_breaks_to_lower_index(self, crystal_space):
         goal = fit_xy(crystal_space, [0, 1], [10.0, 10.0], KernelConfig())
         cons = {"c": fit_xy(crystal_space, [0, 1], [50.0, 50.0], KernelConfig())}
-        chosen = escape_constraint(goal, cons, [1, 0], {"c": 65.0}, 10.0, 2.0)
+        chosen = escape_constraint(goal.predict_all()[0], cons, [1, 0], {"c": 65.0},
+                                   10.0, 2.0)
         assert chosen == 0
 
     def test_near_feasible_improving_beats_far_infeasible(self, crystal_space):
@@ -249,7 +250,8 @@ class TestEscapeConstraint:
             )
         }
         f_c_plus = {"c": 65.0}
-        chosen = escape_constraint(goal, cons, [4, 12], f_c_plus, 100.0, 2.0)
+        chosen = escape_constraint(goal.predict_all()[0], cons, [4, 12], f_c_plus,
+                                   100.0, 2.0)
         assert chosen == 4
         # Ordering agrees with a brute-force per-set evaluation.
         deltas = {}
@@ -261,9 +263,9 @@ class TestEscapeConstraint:
         assert min(deltas, key=deltas.get) == chosen
 
     def test_empty_pool_signaled(self, crystal_space):
-        goal = toy_model(crystal_space)
+        goal_mean = toy_model(crystal_space).predict_all()[0]
         with pytest.raises(NoCandidatesError):
-            escape_constraint(goal, {}, [], {}, 100.0, 2.0)
+            escape_constraint(goal_mean, {}, [], {}, 100.0, 2.0)
 
 
 class TestEscapeAlternation:
@@ -294,7 +296,8 @@ class TestEscapeConstraintMultiple:
             "v": fit_xy(crystal_space, [0, 3], [90.0, 5.0], KernelConfig()),
         }
         f_c_plus = {"u": 50.0, "v": 50.0}
-        chosen = escape_constraint(goal, cons, [0, 3], f_c_plus, 100.0, 1.0)
+        chosen = escape_constraint(goal.predict_all()[0], cons, [0, 3], f_c_plus,
+                                   100.0, 1.0)
         # Each candidate's delta is its best constraint's ratio; compute
         # the oracle by hand over both constraints and both sets.
         deltas = {}

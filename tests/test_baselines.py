@@ -59,21 +59,17 @@ class TestGel:
     def test_singleton(self, crystal_space):
         g = SurrogateLite.fit(crystal_space, {3: 5.0})
         rng = np.random.default_rng(0)
-        assert gel_select(g, [7], rng, range(16)) == 7
+        assert gel_select(g, [7]) == 7
 
-    def test_empty_pool_draws_random_reproducibly(self, crystal_space):
+    def test_empty_pool_returns_none(self, crystal_space):
         g = SurrogateLite.fit(crystal_space, {3: 5.0})
-        a = gel_select(g, [], np.random.default_rng(42), range(16))
-        b = gel_select(g, [], np.random.default_rng(42), range(16))
-        assert a == b
-        assert 0 <= a < 16
+        assert gel_select(g, []) is None
 
     def test_argmin_matches_exhaustive_scan(self, crystal_space):
         medians = {0: 9.0, 2: 4.0, 5: 6.5, 9: 3.2, 12: 8.8, 15: 5.1}
         g = SurrogateLite.fit(crystal_space, medians)
-        rng = np.random.default_rng(1)
         pool = list(range(16))
-        chosen = gel_select(g, pool, rng, pool)
+        chosen = gel_select(g, pool)
         values = g.predict(pool)
         assert chosen == pool[int(np.argmin(values))]
 
@@ -116,25 +112,18 @@ class TestGuc:
         np.testing.assert_array_equal(zeta, [-2.0, -1.0, 0.0])
         g = SurrogateLite.fit(space, {0: 5.0})
         rng = np.random.default_rng(0)
-        assert guc_select(counts, g, [0, 1, 2], space, rng, range(3)) == 2
+        assert guc_select(counts, g, [0, 1, 2], space, rng) == 2
 
     def test_cold_start_is_random_but_seeded(self, crystal_space):
         g = SurrogateLite.fit(crystal_space, {})
-        a = guc_select({}, g, range(16), crystal_space, np.random.default_rng(5),
-                       range(16))
-        b = guc_select({}, g, range(16), crystal_space, np.random.default_rng(5),
-                       range(16))
+        a = guc_select({}, g, range(16), crystal_space, np.random.default_rng(5))
+        b = guc_select({}, g, range(16), crystal_space, np.random.default_rng(5))
         assert a == b
 
-    def test_empty_pool_draws_from_fallback(self, crystal_space):
+    def test_empty_pool_returns_none(self, crystal_space):
         g = SurrogateLite.fit(crystal_space, {0: 1.0, 5: 2.0})
-        fallback = [3, 7, 11]
-        picks = {
-            guc_select({0: 1, 5: 1}, g, [], crystal_space,
-                       np.random.default_rng(seed), fallback)
-            for seed in range(30)
-        }
-        assert picks == set(fallback)
+        rng = np.random.default_rng(0)
+        assert guc_select({0: 1, 5: 1}, g, [], crystal_space, rng) is None
 
     def test_corner_sets_have_fewer_neighbors(self, crystal_space):
         assert len(neighbor_indices(crystal_space, 0)) == 2

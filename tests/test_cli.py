@@ -386,6 +386,41 @@ def test_reanalysis_reproduces_every_trial_exactly(config, selector, tmp_path):
         assert fresh.reported_index == stored["reported_index"]
 
 
+@pytest.fixture(scope="module")
+def run_file_doc(tmp_path_factory) -> dict:
+    """The run file of a bundled replay run, which has a constraint."""
+    out = tmp_path_factory.mktemp("run")
+    config = resources.files("apexopt.data") / "crystal_replay.yaml"
+    assert main(["optimize", str(config), "--out", str(out)]) == EXIT_OK
+    return json.loads((out / "run_result.json").read_text())
+
+
+def _rename(block: dict, old: str, new: str) -> None:
+    block[new] = block.pop(old)
+
+
+@pytest.mark.parametrize("damage, field", [
+    (lambda c: c["requirement"]["goal"].pop("direction"),
+     "config.requirement.goal.direction"),
+    (lambda c: c["requirement"]["constraints"][0].update(bound="high"),
+     "config.requirement.constraints[0].bound"),
+    (lambda c: _rename(c["kernel"], "length_scale", "lenght_scale"),
+     "config.kernel.lenght_scale"),
+    (lambda c: _rename(c["requirement"]["constraints"][0], "percentile", "pct"),
+     "config.requirement.constraints[0].pct"),
+    (lambda c: c["parameters"][0].update(values="abc"), "config.parameters[0].values"),
+], ids=["goal-without-direction", "text-bound", "kernel-key-typo",
+        "constraint-key-typo", "text-values"])
+def test_damaged_run_file_is_config_error_naming_the_field(run_file_doc, tmp_path,
+                                                           damage, field):
+    doc = json.loads(json.dumps(run_file_doc))
+    damage(doc["config"])
+    path = tmp_path / "run_result.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        reanalyze_run_file(path)
+
+
 class TestCampaignCommand:
     def test_writes_csv_and_json(self, config_file, tmp_path):
         out = tmp_path / "camp"

@@ -19,6 +19,7 @@ from apexopt.domain import (
 from apexopt.engine import (
     SELECTOR_ALIASES,
     AnalysisState,
+    Choice,
     Engine,
     EngineConfig,
     current_best,
@@ -540,7 +541,28 @@ def test_ask_tell_by_hand_matches_run(config, selector):
     eng = engine()
     while eng.termination_reason() is None:
         choice = eng.ask()
+        # Asking again before the tell decides nothing anew.
+        assert eng.ask() == choice
         obs = eng.executor.run_trial(choice.index, eng.analysis.n + 1)
         assert eng.tell(choice, obs) is eng.trials[-1]
     assert eng.trials == result.trials
     assert eng.termination_reason() == result.terminated_by
+
+
+def test_tell_rejects_an_observation_it_did_not_ask_for():
+    bundle = parse_config(resources.files("apexopt.data") / "synthetic_demo.yaml")
+    cfg = bundle.engine_config()
+    eng = Engine(cfg, make_executor(bundle.source, cfg.space, cfg.seed))
+    obs = eng.executor.run_trial(0, 1)
+    with pytest.raises(ConfigError, match="pending ask"):
+        eng.tell(Choice(0, "init"), obs)
+    choice = eng.ask()
+    other = (choice.index + 1) % cfg.space.n_sets
+    with pytest.raises(ConfigError, match=f"observation of set {other}"):
+        eng.tell(choice, eng.executor.run_trial(other, 1))
+    with pytest.raises(ConfigError, match="out of order"):
+        eng.tell(choice, eng.executor.run_trial(choice.index, 2))
+    assert eng.analysis.n == 0 and eng.trials == []
+    # The pending choice survives the rejections and takes its own trial.
+    eng.tell(choice, eng.executor.run_trial(choice.index, 1))
+    assert eng.analysis.n == 1

@@ -313,6 +313,13 @@ class TestDatasetIO:
         ("nan.csv", "param:p,metric:m\n0,1.0\n1,nan\n", "non-finite"),
         ("text.jsonl", '{"params": {"p": 0}, "metrics": {"m": "high"}}\n',
          "metrics must map names to numbers"),
+        # A malformed record or parameter value is rejected the same way.
+        ("number.jsonl", '{"params": {"p": 0}, "metrics": {"m": 1.0}}\n7\n',
+         "expected a JSON object"),
+        ("params.jsonl", '{"params": 5, "metrics": {"m": 1.0}}\n',
+         "params must map names to values"),
+        ("null.jsonl", '{"params": {"p": null}, "metrics": {"m": 1.0}}\n',
+         "value None not allowed"),
     ])
     def test_bad_metric_value_rejected_with_its_line(self, tmp_path, name, text,
                                                      reason):
@@ -354,7 +361,7 @@ class TestValidateDataset:
         ]
         path = tmp_path / "miss.jsonl"
         path.write_text("\n".join(lines) + "\n")
-        report = validate_dataset(path, n_r=1, expected_metrics=("energy", "prr"))
+        report = validate_dataset(path, n_r=1)
         assert (3, "prr") in report.missing_metrics
         assert any("line 3" in s for s in report.summary_lines())
 
@@ -368,6 +375,11 @@ class TestValidateDataset:
         path.write_text("\n".join(lines) + "\n")
         report = validate_dataset(path, n_r=1)
         assert report.duplicate_run_ids == ["dup"]
+        # Listed in file order, not in the order of the sets they belong to.
+        path = tmp_path / "dup.csv"
+        path.write_text("param:p,metric:m,run_id\n2,1.0,z\n0,1.0,y\n2,1.0,y\n"
+                        "0,1.0,z\n")
+        assert validate_dataset(path, n_r=1).duplicate_run_ids == ["y", "z"]
 
     def test_unreadable_file_is_config_error(self, tmp_path):
         with pytest.raises(DatasetFormatError):

@@ -2,11 +2,13 @@
 
 The matrix is ``optimize`` and ``campaign --iterations 3 --max-trials 60``
 for each of the seven selectors on the two bundled configs and the two
-perfbench configs: 56 runs. Each run is a fresh ``python -m apexopt.cli``
-process writing into a temporary directory. One ``sha256  path`` line is
-printed per output file and per run's stdout (with the exit code appended
-to it), sorted by path. Two source trees give equal outputs exactly when
-they print the same lines:
+perfbench configs, plus ``validate-dataset`` of the bundled dataset at
+``--n-r 6`` and ``--n-r 7``: 58 runs. Each run is a fresh
+``python -m apexopt.cli`` process with its own temporary directory, which
+``optimize`` and ``campaign`` write their outputs into. One
+``sha256  path`` line is printed per output file and per run's stdout
+(with the exit code appended to it), sorted by path. Two source trees give
+equal outputs exactly when they print the same lines:
 
     python tools/output_digests.py > change.txt
     python tools/output_digests.py --root /path/to/parent > parent.txt
@@ -36,28 +38,35 @@ CONFIGS = (
 SELECTORS = ("apex-lcb", "apex-ei", "gel", "ger", "guc", "rl-step", "rl-any")
 JOBS = 2  # runs at a time
 COMMANDS = {
-    "optimize": ["optimize", "{config}", "--selector", "{selector}"],
+    "optimize": ["optimize", "{config}", "--selector", "{selector}",
+                 "--out", "{out}"],
     "campaign": ["campaign", "{config}", "--approach", "{selector}",
-                 "--iterations", "3", "--max-trials", "60"],
+                 "--iterations", "3", "--max-trials", "60", "--out", "{out}"],
 }
+DATASET = "src/apexopt/data/crystal_demo.jsonl"
+TARGET_RECORDS = (6, 7)  # the bundled dataset has 6 per set
 
 
-def runs(root: Path):
-    """(relative output directory, CLI arguments) of every run."""
+def runs(root: Path, out: Path):
+    """(run directory, CLI arguments) of every run."""
     for config in CONFIGS:
         for command, template in COMMANDS.items():
             for selector in SELECTORS:
-                args = [a.format(config=root / config, selector=selector)
-                        for a in template]
-                yield f"{Path(config).stem}/{command}/{selector}", args
+                run_dir = out / Path(config).stem / command / selector
+                yield run_dir, [
+                    a.format(config=root / config, selector=selector, out=run_dir)
+                    for a in template
+                ]
+    for n_r in TARGET_RECORDS:
+        run_dir = out / Path(DATASET).stem / "validate-dataset" / f"n-r-{n_r}"
+        yield run_dir, ["validate-dataset", str(root / DATASET), "--n-r", str(n_r)]
 
 
-def run_one(root: Path, out: Path, name: str, args: list[str]) -> None:
-    run_dir = out / name
+def run_one(root: Path, run_dir: Path, args: list[str]) -> None:
     run_dir.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run(
-        [sys.executable, "-m", "apexopt.cli", *args, "--out", str(run_dir)],
+        [sys.executable, "-m", "apexopt.cli", *args],
         env=env, capture_output=True, check=False,
     )
     # Written next to the outputs, so it is digested with them.
@@ -66,7 +75,7 @@ def run_one(root: Path, out: Path, name: str, args: list[str]) -> None:
     )
     if proc.returncode != 0:
         last = (proc.stderr.decode(errors="replace").strip().splitlines() or [""])[-1]
-        print(f"{name}: exit {proc.returncode}: {last}", file=sys.stderr)
+        print(f"{run_dir}: exit {proc.returncode}: {last}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -81,8 +90,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         with ThreadPoolExecutor(max_workers=JOBS) as pool:
-            for future in [pool.submit(run_one, root, out, name, cli_args)
-                           for name, cli_args in runs(root)]:
+            for future in [pool.submit(run_one, root, run_dir, cli_args)
+                           for run_dir, cli_args in runs(root, out)]:
                 future.result()
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
