@@ -23,6 +23,8 @@ import dataclasses
 import json
 import math
 import sys
+import types
+import typing
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -60,31 +62,10 @@ EXIT_CONFIG = 2
 EXIT_EXECUTOR = 3
 EXIT_UNSATISFIABLE = 4
 
-_PARAMETER_KEYS = {"name": str, "values": list, "unit": str, "scale": str}
+# YAML spells ``MetricSpec.name`` as ``metric``.
 _GOAL_KEYS = {"metric": str, "direction": str, "unit": str}
-_CONSTRAINT_KEYS = {
-    "metric": str, "relation": str, "bound": float, "percentile": float,
-}
-_REMOTE_KEYS = {
-    "endpoint": str, "poll_interval": float, "trial_duration": float,
-    "timeout": float, "http_timeout": float,
-}
-_TERMINATION_KEYS = {
-    "max_trials": int, "alpha_target": float, "beta_target": float,
-}
-_ENGINE_KEYS = {
-    "selector": str, "n_init": int, "init_strategy": str, "delta": float,
-    "seed": int, "rl_epsilon": float, "rl_learning_rate": float,
-    "rl_discount": float,
-}
-_KERNEL_KEYS = {
-    "kind": str, "length_scale": float, "signal_variance": float,
-    "noise_variance": float, "jitter": float,
-}
-_CAMPAIGN_KEYS = {
-    "approach": str, "iterations": int, "max_trials": int, "base_seed": int,
-    "bins": int, "jobs": int,
-}
+# Field types that a YAML block sets directly, by the type YAML gives them.
+_YAML_KINDS = {str: str, int: int, float: float, tuple[float, ...]: list}
 
 _EXPR_NAMES = {
     "abs": abs,
@@ -137,6 +118,27 @@ def _get(d: Mapping, key: str, path: str, kind, default=None, required=False):
     return value
 
 
+def _kinds(cls) -> dict[str, type]:
+    """The keys of the config block that builds the dataclass ``cls``,
+    with their YAML types.
+
+    They are its fields of type ``str``, ``int``, ``float`` or
+    ``tuple[float, ...]`` (a YAML list), each also as ``X | None``. Fields
+    of other types are read by their block's parser.
+    """
+    hints = typing.get_type_hints(cls)
+    kinds = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if typing.get_origin(hint) in (typing.Union, types.UnionType):
+            hint, *rest = [a for a in typing.get_args(hint) if a is not type(None)]
+            if rest:
+                continue
+        if hint in _YAML_KINDS:
+            kinds[f.name] = _YAML_KINDS[hint]
+    return kinds
+
+
 def _present(block: Any, kinds: Mapping[str, type], path: str,
              required: Sequence[str] = (), also: Sequence[str] = ()) -> dict:
     """Type-checked values of the ``kinds`` keys that the mapping ``block``
@@ -171,7 +173,6 @@ class ConfigBundle:
     termination: TerminationCriteria
     campaign_block: dict
     output_dir: Path
-    protocol_name: str
 
     def engine_config(self, seed: int | None = None,
                       selector: str | None = None,
@@ -227,16 +228,17 @@ def parse_config(path: str | Path) -> ConfigBundle:
 
     protocol = _as_mapping(root.get("protocol"), "protocol")
     _check_keys(protocol, ["name", "parameters"], "protocol")
+    _get(protocol, "name", "protocol", str)  # a label only: checked, not kept
     space = _parse_space(protocol.get("parameters"), "protocol.parameters")
     requirement = _parse_requirement(root.get("requirement"), "requirement")
     source = _parse_executor(
         _as_mapping(root.get("executor"), "executor"), path.parent, space
     )
     engine_block = _parse_engine(_as_mapping(root.get("engine"), "engine"), space)
-    termination = TerminationCriteria(
-        **_present(root.get("termination"), _TERMINATION_KEYS, "termination")
-    )
-    campaign_block = _present(root.get("campaign"), _CAMPAIGN_KEYS, "campaign")
+    termination = TerminationCriteria(**_present(
+        root.get("termination"), _kinds(TerminationCriteria), "termination"
+    ))
+    campaign_block = _present(root.get("campaign"), _kinds(CampaignSpec), "campaign")
 
     output = _as_mapping(root.get("output"), "output")
     _check_keys(output, ["dir"], "output")
@@ -251,7 +253,6 @@ def parse_config(path: str | Path) -> ConfigBundle:
         termination=termination,
         campaign_block=campaign_block,
         output_dir=output_dir,
-        protocol_name=_get(protocol, "name", "protocol", str, ""),
     )
 
 
@@ -260,7 +261,7 @@ def _parse_space(params: Any, path: str) -> ParameterSpace:
     if not isinstance(params, list) or not params:
         _fail(path, "expected a non-empty list")
     return ParameterSpace([
-        ParameterDef(**_present(p, _PARAMETER_KEYS, f"{path}[{i}]",
+        ParameterDef(**_present(p, _kinds(ParameterDef), f"{path}[{i}]",
                                 required=("name", "values")))
         for i, p in enumerate(params)
     ])
@@ -273,12 +274,13 @@ def _parse_requirement(block: Any, path: str) -> Requirement:
                     required=("metric", "direction"))
     goal = MetricSpec(name=goal.pop("metric"), **goal)
     constraints = [
-        ConstraintSpec(**_present(c, _CONSTRAINT_KEYS, f"{path}.constraints[{i}]",
+        ConstraintSpec(**_present(c, _kinds(ConstraintSpec),
+                                  f"{path}.constraints[{i}]",
                                   required=("metric", "relation", "bound")))
         for i, c in enumerate(block.get("constraints") or [])
     ]
     return Requirement(goal, tuple(constraints), **_present(
-        block, {"confidence_target": float}, path, also=("goal", "constraints"),
+        block, _kinds(Requirement), path, also=("goal", "constraints"),
     ))
 
 
@@ -320,7 +322,8 @@ def _parse_executor(
                              _present(noise, dict.fromkeys(noise, float), npath))
     if kind == "remote":
         return RemoteConfig(**_present(
-            block.get("remote"), _REMOTE_KEYS, "executor.remote", required=("endpoint",)
+            block.get("remote"), _kinds(RemoteConfig), "executor.remote",
+            required=("endpoint",),
         ))
     _fail("executor.kind", f"must be 'replay', 'synthetic', or 'remote', got {kind!r}")
 
@@ -395,7 +398,8 @@ def _evaluate_expression(expr: str, space: ParameterSpace, path: str) -> np.ndar
 def _parse_engine(block: Mapping, space: ParameterSpace) -> dict:
     """The EngineConfig keywords the block sets; EngineConfig supplies the
     defaults for the rest."""
-    out = _present(block, _ENGINE_KEYS, "engine", also=("suggestions", "kernel"))
+    out = _present(block, _kinds(EngineConfig), "engine",
+                   also=("suggestions", "kernel"))
     if block.get("suggestions") is not None:
         suggestions = []
         for i, s in enumerate(block["suggestions"]):
@@ -407,7 +411,7 @@ def _parse_engine(block: Mapping, space: ParameterSpace) -> dict:
         out["suggestions"] = tuple(suggestions)
     if block.get("kernel") is not None:
         out["kernel"] = KernelConfig(
-            **_present(block["kernel"], _KERNEL_KEYS, "engine.kernel")
+            **_present(block["kernel"], _kinds(KernelConfig), "engine.kernel")
         )
     return out
 
@@ -457,17 +461,31 @@ def reanalyze_run_file(path: str | Path) -> list:
     Its config block is read by the parsers of the YAML config's blocks.
     """
     with Path(path).open("r", encoding="utf-8") as fh:
-        doc = _as_mapping(json.load(fh), str(path))
+        try:
+            doc = _as_mapping(json.load(fh), str(path))
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}: invalid JSON: {e}") from None
     cfg = _as_mapping(doc.get("config"), "config")
-    observations = [
-        Observation(t["n"], t["set_index"], t["metrics"]) for t in doc["trials"]
-    ]
+    trials = doc.get("trials")
+    if not isinstance(trials, list):
+        _fail("trials", "expected a list")
+    observations = []
+    for i, t in enumerate(trials):
+        tpath = f"trials[{i}]"
+        t = _as_mapping(t, tpath)
+        metrics = _as_mapping(t.get("metrics"), f"{tpath}.metrics")
+        observations.append(Observation(
+            _get(t, "n", tpath, int, required=True),
+            _get(t, "set_index", tpath, int, required=True),
+            _present(metrics, dict.fromkeys(metrics, float), f"{tpath}.metrics"),
+        ))
     return reanalyze(
         _parse_space(cfg.get("parameters"), "config.parameters"),
         _parse_requirement(cfg.get("requirement"), "config.requirement"),
         observations,
         _get(cfg, "delta", "config", float, required=True),
-        KernelConfig(**_present(cfg.get("kernel"), _KERNEL_KEYS, "config.kernel")),
+        KernelConfig(**_present(cfg.get("kernel"), _kinds(KernelConfig),
+                                "config.kernel")),
     )
 
 

@@ -81,7 +81,7 @@ def instant_suboptimality(
     return best_median - float(np.min(lcb_values(mean, std, kappa_n)))
 
 
-def _curve(b: float, x: np.ndarray) -> np.ndarray:
+def _curve(b: float | np.ndarray, x: np.ndarray) -> np.ndarray:
     # (1 - exp(-b x)) / (1 - exp(-b)), stable for small b via expm1.
     return np.expm1(-b * x) / np.expm1(-b)
 
@@ -180,7 +180,7 @@ def fit_saturating_exponential(x: np.ndarray, y: np.ndarray) -> float:
     A coarse log-spaced grid is refined with a bounded scalar minimizer
     around the best grid cell.
     """
-    curves = np.expm1(-np.outer(_GRID, x)) / np.expm1(-_GRID)[:, None]
+    curves = _curve(_GRID[:, None], x)
     residuals = curves - y[None, :]
     errors = np.einsum("ij,ij->i", residuals, residuals)
     best = int(np.argmin(errors))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -174,9 +174,6 @@ class ParameterSpace:
             )
             self._coords.setflags(write=False)
         return self._coords
-
-    def sets(self) -> Iterable[ParameterSet]:
-        return (self.set_at(i) for i in range(self.n_sets))
 
     def __len__(self) -> int:
         return self.n_sets

@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -246,7 +246,23 @@ def current_best(
 
 
 @dataclass
-class Analysis:
+class Confidence:
+    """The confidence values logged for each trial."""
+
+    tau: float
+    cumulative: float
+    theta: float
+    alpha: float
+    alpha_b1: float
+    alpha_b2: float
+    beta: float
+    best_index: int | None
+    reported_index: int | None
+    reported_goal_median: float | None
+
+
+@dataclass
+class Analysis(Confidence):
     """Everything derived from the observation prefix after one trial."""
 
     n: int
@@ -259,19 +275,9 @@ class Analysis:
     d_n: tuple[int, ...]
     d_satisfying: tuple[int, ...]
     d_violating: tuple[int, ...]
-    best_index: int | None
     best_value: float | None
-    reported_index: int | None
-    reported_goal_median: float | None
     f_c_plus: dict[str, float]
     goal_range: float
-    tau: float
-    cumulative: float
-    theta: float
-    alpha: float
-    alpha_b1: float
-    alpha_b2: float
-    beta: float
 
     @property
     def f_best(self) -> float:
@@ -345,14 +351,30 @@ class AnalysisState:
                 f"observation at trial {obs.trial_index} missing metrics {missing}"
             )
         idx = obs.set_index
-        readings = self._sorted.setdefault(idx, {m: [] for m in self._columns})
-        for metric, column in self._columns.items():
-            value = obs.metrics[metric]
-            column.append(value)
-            bisect.insort(readings[metric], value)
-        self._set_indices.append(idx)
-        n = self.n
         canon = self.canonical
+        # Fit and predict on the new trial-order lists before recording
+        # anything, so that a FitError leaves the state as it was.
+        columns = {m: [*column, obs.metrics[m]] for m, column in self._columns.items()}
+        set_indices = [*self._set_indices, idx]
+        goal_values = canon.goal_sign * np.asarray(columns[canon.goal_metric])
+        targets = {"goal": goal_values}
+        for c in canon.constraints:
+            targets[f"c:{c.metric}"] = c.sign * np.asarray(columns[c.metric])
+        models = surrogate.fit_many_xy(
+            self.space, set_indices, targets, self.kernel, rows=self._rows
+        )
+        constraint_models = {
+            c.metric: models[f"c:{c.metric}"] for c in canon.constraints
+        }
+        goal_mean, goal_var = models["goal"].predict_all()
+        goal_std = np.sqrt(goal_var)
+
+        self._columns = columns
+        self._set_indices = set_indices
+        readings = self._sorted.setdefault(idx, {m: [] for m in columns})
+        for metric, sorted_values in readings.items():
+            bisect.insort(sorted_values, obs.metrics[metric])
+        n = self.n
         goal_sorted = readings[canon.goal_metric]
         # The previous snapshot plus this trial; each snapshot owns its dicts.
         prev = self.last
@@ -365,19 +387,6 @@ class AnalysisState:
             c.sign * sorted_median(readings[c.metric]) <= c.bound
             for c in canon.constraints
         )
-
-        goal_values = canon.goal_sign * np.asarray(self._columns[canon.goal_metric])
-        targets = {"goal": goal_values}
-        for c in canon.constraints:
-            targets[f"c:{c.metric}"] = c.sign * np.asarray(self._columns[c.metric])
-        models = surrogate.fit_many_xy(
-            self.space, self._set_indices, targets, self.kernel, rows=self._rows
-        )
-        constraint_models = {
-            c.metric: models[f"c:{c.metric}"] for c in canon.constraints
-        }
-        goal_mean, goal_var = models["goal"].predict_all()
-        goal_std = np.sqrt(goal_var)
 
         d_n, d_sat, d_vio = self.split()
         best, reported = current_best(
@@ -481,23 +490,15 @@ class AnalysisState:
 
 
 @dataclass
-class TrialLogEntry:
+class TrialLogEntry(Confidence):
+    """One trial of the run and the confidence values after it."""
+
     n: int
     set_index: int
     selected_by: str
     trap: bool
     escape_mode: str | None
     metrics: dict[str, float]
-    tau: float
-    cumulative: float
-    theta: float
-    alpha: float
-    alpha_b1: float
-    alpha_b2: float
-    beta: float
-    best_index: int | None
-    reported_index: int | None
-    reported_goal_median: float | None
 
 
 @dataclass
@@ -635,16 +636,7 @@ class Engine:
             trap=choice.trap,
             escape_mode=choice.escape_mode,
             metrics=dict(obs.metrics),
-            tau=analysis.tau,
-            cumulative=analysis.cumulative,
-            theta=analysis.theta,
-            alpha=analysis.alpha,
-            alpha_b1=analysis.alpha_b1,
-            alpha_b2=analysis.alpha_b2,
-            beta=analysis.beta,
-            best_index=analysis.best_index,
-            reported_index=analysis.reported_index,
-            reported_goal_median=analysis.reported_goal_median,
+            **{f.name: getattr(analysis, f.name) for f in fields(Confidence)},
         )
         self.trials.append(entry)
         return entry

@@ -105,7 +105,6 @@ class TraceDataset:
 
     space: ParameterSpace
     records_by_set: tuple[tuple[TraceRecord, ...], ...]
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if len(self.records_by_set) != self.space.n_sets:
@@ -245,10 +244,7 @@ def _load_jsonl(path: Path, space: ParameterSpace | None) -> TraceDataset:
                 f"{path}: no header line and no explicit parameter space"
             )
         space = _space_from_header(header)
-    provenance = {"path": str(path)}
-    if header:
-        provenance["header"] = header
-    return TraceDataset(space, _group(space, rows, path), provenance)
+    return TraceDataset(space, _group(space, rows, path))
 
 
 def _load_csv(path: Path, space: ParameterSpace | None) -> TraceDataset:
@@ -278,7 +274,7 @@ def _load_csv(path: Path, space: ParameterSpace | None) -> TraceDataset:
             values = sorted({p[name] for _, p, _, _ in parsed})
             defs.append(ParameterDef(name=name, values=tuple(values)))
         space = ParameterSpace(defs)
-    return TraceDataset(space, _group(space, parsed, path), {"path": str(path)})
+    return TraceDataset(space, _group(space, parsed, path))
 
 
 def save_dataset(dataset: TraceDataset, path: Union[str, Path],

@@ -249,7 +249,7 @@ def fit_xy(
     """Fit a GP to explicit (set index, value) training pairs."""
     if len(values) != len(set_indices):
         raise ConfigError("set_indices and values must have the same length")
-    return _fit(space, set_indices, {"": values}, cfg, None)[""]
+    return fit_many_xy(space, set_indices, {"": values}, cfg)[""]
 
 
 def fit_many_xy(
@@ -266,16 +266,6 @@ def fit_many_xy(
     output scale for every metric. ``rows`` is the run's kernel-row cache
     (built for this space and ``cfg``); a fresh one is made if absent.
     """
-    return _fit(space, set_indices, values_by_metric, cfg, rows)
-
-
-def _fit(
-    space: ParameterSpace,
-    set_indices: Sequence[int],
-    values_by_metric: dict[str, Sequence[float]],
-    cfg: KernelConfig,
-    rows: KernelRows | None,
-) -> dict[str, GPModel]:
     if rows is None:
         rows = KernelRows(space, cfg)
     elif rows.space is not space or rows.cfg != cfg:

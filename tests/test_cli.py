@@ -6,6 +6,7 @@ import math
 import re
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 import yaml
@@ -19,9 +20,18 @@ from apexopt.cli import (
     parse_config,
     reanalyze_run_file,
 )
-from apexopt.domain import ConfigError
+from apexopt.domain import (
+    ConfigError,
+    ConstraintSpec,
+    MetricSpec,
+    ParameterDef,
+    ParameterSet,
+    Requirement,
+    TerminationCriteria,
+)
 from apexopt.engine import SELECTOR_ALIASES
 from apexopt.executor import RemoteConfig
+from apexopt.surrogate import KernelConfig
 from tests.conftest import fail_fit_on_call
 
 
@@ -399,24 +409,40 @@ def _rename(block: dict, old: str, new: str) -> None:
     block[new] = block.pop(old)
 
 
+def _in_doc(change):
+    """A damage to the run file's text: ``change`` applied to its JSON."""
+    def damage(text: str) -> str:
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+
+    return damage
+
+
 @pytest.mark.parametrize("damage, field", [
-    (lambda c: c["requirement"]["goal"].pop("direction"),
+    (_in_doc(lambda d: d["config"]["requirement"]["goal"].pop("direction")),
      "config.requirement.goal.direction"),
-    (lambda c: c["requirement"]["constraints"][0].update(bound="high"),
+    (_in_doc(lambda d: d["config"]["requirement"]["constraints"][0].update(
+        bound="high")),
      "config.requirement.constraints[0].bound"),
-    (lambda c: _rename(c["kernel"], "length_scale", "lenght_scale"),
+    (_in_doc(lambda d: _rename(d["config"]["kernel"], "length_scale", "lenght_scale")),
      "config.kernel.lenght_scale"),
-    (lambda c: _rename(c["requirement"]["constraints"][0], "percentile", "pct"),
+    (_in_doc(lambda d: _rename(d["config"]["requirement"]["constraints"][0],
+                               "percentile", "pct")),
      "config.requirement.constraints[0].pct"),
-    (lambda c: c["parameters"][0].update(values="abc"), "config.parameters[0].values"),
+    (_in_doc(lambda d: d["config"]["parameters"][0].update(values="abc")),
+     "config.parameters[0].values"),
+    (_in_doc(lambda d: d["trials"][2].pop("set_index")), "trials[2].set_index"),
+    (_in_doc(lambda d: d["trials"][0]["metrics"].update(energy="abc")),
+     "trials[0].metrics.energy"),
+    (lambda text: text[: len(text) // 2], "run_result.json: invalid JSON"),
 ], ids=["goal-without-direction", "text-bound", "kernel-key-typo",
-        "constraint-key-typo", "text-values"])
+        "constraint-key-typo", "text-values", "trial-without-set-index",
+        "text-metric", "not-json"])
 def test_damaged_run_file_is_config_error_naming_the_field(run_file_doc, tmp_path,
                                                            damage, field):
-    doc = json.loads(json.dumps(run_file_doc))
-    damage(doc["config"])
     path = tmp_path / "run_result.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(damage(json.dumps(run_file_doc)))
     with pytest.raises(ConfigError, match=re.escape(field)):
         reanalyze_run_file(path)
 
@@ -535,3 +561,83 @@ def test_log2_scale_parameter_parses(tmp_path):
     bundle = parse_config(path)
     d = bundle.space.defs[0]
     assert d.normalize(256) == pytest.approx(1 / 3)
+
+
+# Every key of every block away from its default; the remote block, which
+# excludes the synthetic one, is checked with a second config.
+EVERY_KEY = {
+    "protocol": {
+        "name": "every-key",
+        "parameters": [
+            {"name": "interval", "values": [16, 64, 256], "unit": "ms",
+             "scale": "log2"},
+            {"name": "power", "values": [-3, 0], "unit": "dBm", "scale": "linear"},
+        ],
+    },
+    "requirement": {
+        "goal": {"metric": "reliability", "direction": "maximize", "unit": "%"},
+        "constraints": [{"metric": "energy", "relation": "<=", "bound": 40,
+                         "percentile": 0.7}],
+        "confidence_target": 0.8,
+    },
+    "executor": {
+        "kind": "synthetic",
+        "synthetic": {
+            "metrics": {"reliability": {"table": [50, 60, 70, 80, 90, 95]},
+                        "energy": {"expression": "30 + 20*z[0]"}},
+            "noise_std": {"reliability": 2.0, "energy": 1.0},
+        },
+    },
+    "engine": {
+        "selector": "rl-any", "n_init": 3, "init_strategy": "sobol",
+        "suggestions": [[256, 0], [16, -3]], "delta": 0.2,
+        "kernel": {"kind": "matern52", "length_scale": 0.5,
+                   "signal_variance": 2.0, "noise_variance": 0.05,
+                   "jitter": 1e-7},
+        "seed": 11, "rl_epsilon": 0.2, "rl_learning_rate": 0.3,
+        "rl_discount": 0.5,
+    },
+    "termination": {"max_trials": 25, "alpha_target": 90, "beta_target": 0.85},
+    "campaign": {"approach": "gel", "iterations": 7, "max_trials": 30,
+                 "base_seed": 4, "bins": 10, "jobs": 2},
+    "output": {"dir": "every-key-results"},
+}
+
+
+def test_every_key_reaches_its_dataclass(tmp_path):
+    path = tmp_path / "every-key.yaml"
+    path.write_text(yaml.safe_dump(EVERY_KEY))
+    bundle = parse_config(path)
+    cfg = bundle.engine_config()
+    assert cfg.space.defs == (
+        ParameterDef("interval", (16.0, 64.0, 256.0), "ms", "log2"),
+        ParameterDef("power", (-3.0, 0.0), "dBm", "linear"),
+    )
+    assert cfg.requirement == Requirement(
+        MetricSpec("reliability", "maximize", "%"),
+        (ConstraintSpec("energy", "<=", 40.0, 0.7),),
+        confidence_target=0.8,
+    )
+    assert cfg.termination == TerminationCriteria(25, 90.0, 0.85)
+    assert (cfg.selector, cfg.n_init, cfg.init_strategy, cfg.delta, cfg.seed,
+            cfg.rl_epsilon, cfg.rl_learning_rate, cfg.rl_discount) == (
+        "rl-any", 3, "sobol", 0.2, 11, 0.2, 0.3, 0.5)
+    assert cfg.suggestions == (ParameterSet((256.0, 0.0)),
+                               ParameterSet((16.0, -3.0)))
+    assert cfg.kernel == KernelConfig("matern52", 0.5, 2.0, 0.05, 1e-7)
+    assert list(bundle.source.metrics["reliability"]) == [50, 60, 70, 80, 90, 95]
+    assert list(bundle.source.metrics["energy"]) == [30, 30, 40, 40, 50, 50]
+    assert bundle.source.noise_std == {"reliability": 2.0, "energy": 1.0}
+    assert bundle.output_dir == Path("every-key-results")
+    spec = bundle.campaign_spec()
+    assert (spec.approach, spec.iterations, spec.max_trials, spec.base_seed,
+            spec.bins, spec.jobs) == ("gel", 7, 30, 4, 10, 2)
+    assert spec.engine == bundle.engine_block
+    assert spec.engine["kernel"] == cfg.kernel
+
+    remote = {"endpoint": "http://127.0.0.1:1", "poll_interval": 0.5,
+              "trial_duration": 30.0, "timeout": 45.0, "http_timeout": 2.0}
+    path.write_text(yaml.safe_dump(
+        {**EVERY_KEY, "executor": {"kind": "remote", "remote": remote}}
+    ))
+    assert parse_config(path).source == RemoteConfig(**remote)

@@ -34,7 +34,7 @@ from apexopt.executor import (
     SyntheticSpec,
     make_executor,
 )
-from apexopt.surrogate import KernelConfig
+from apexopt.surrogate import FitError, KernelConfig
 from tests.conftest import fail_fit_on_call, make_dataset, make_line_space
 
 
@@ -566,3 +566,26 @@ def test_tell_rejects_an_observation_it_did_not_ask_for():
     # The pending choice survives the rejections and takes its own trial.
     eng.tell(choice, eng.executor.run_trial(choice.index, 1))
     assert eng.analysis.n == 1
+
+
+def test_fit_error_in_tell_leaves_the_engine_as_it_was(monkeypatch):
+    bundle = parse_config(resources.files("apexopt.data") / "synthetic_demo.yaml")
+    cfg = bundle.engine_config()
+
+    def told(eng, k):
+        while eng.analysis.n < k:
+            choice = eng.ask()
+            eng.tell(choice, eng.executor.run_trial(choice.index, eng.analysis.n + 1))
+        return eng
+
+    reference = told(Engine(cfg, make_executor(bundle.source, cfg.space, cfg.seed)), 4)
+    eng = told(Engine(cfg, make_executor(bundle.source, cfg.space, cfg.seed)), 3)
+    choice = eng.ask()
+    obs = eng.executor.run_trial(choice.index, 4)
+    fail_fit_on_call(monkeypatch, 1)
+    with pytest.raises(FitError, match="forced degenerate fit"):
+        eng.tell(choice, obs)
+    assert eng.analysis.n == len(eng.trials) == 3
+    # The same observation is accepted again, as if the failure never was.
+    eng.tell(choice, obs)
+    assert eng.trials == reference.trials

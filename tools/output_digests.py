@@ -1,9 +1,11 @@
 """Print a digest of every output of a fixed matrix of CLI runs.
 
 The matrix is ``optimize`` and ``campaign --iterations 3 --max-trials 60``
-for each of the seven selectors on the two bundled configs and the two
-perfbench configs, plus ``validate-dataset`` of the bundled dataset at
-``--n-r 6`` and ``--n-r 7``: 58 runs. Each run is a fresh
+for each of the seven selectors on the two bundled configs, the two
+perfbench configs and ``tools/every_key.yaml`` (which sets the config keys
+the others leave at their defaults, and runs its campaigns on two
+workers), plus ``validate-dataset`` of the bundled dataset at ``--n-r 6``
+and ``--n-r 7``: 72 runs. Each run is a fresh
 ``python -m apexopt.cli`` process with its own temporary directory, which
 ``optimize`` and ``campaign`` write their outputs into. One
 ``sha256  path`` line is printed per output file and per run's stdout
@@ -15,7 +17,8 @@ equal outputs exactly when they print the same lines:
     diff parent.txt change.txt
 
 ``--root`` names the checkout whose ``src/`` and configs are run; it
-defaults to the one holding this script.
+defaults to the one holding this script. A checkout older than
+``tools/every_key.yaml`` needs a copy of that file.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ CONFIGS = (
     "src/apexopt/data/synthetic_demo.yaml",
     "perfbench/configs/planted_synthetic.yaml",
     "perfbench/configs/wide_synthetic.yaml",
+    "tools/every_key.yaml",
 )
 SELECTORS = ("apex-lcb", "apex-ei", "gel", "ger", "guc", "rl-step", "rl-any")
 JOBS = 2  # runs at a time
