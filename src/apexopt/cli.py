@@ -230,14 +230,20 @@ def parse_config(path: str | Path) -> ConfigBundle:
     _check_keys(protocol, ["name", "parameters"], "protocol")
     _get(protocol, "name", "protocol", str)  # a label only: checked, not kept
     space = _parse_space(protocol.get("parameters"), "protocol.parameters")
-    requirement = _parse_requirement(root.get("requirement"), "requirement")
+    requirement_block = _as_mapping(root.get("requirement"), "requirement")
+    requirement = _parse_requirement(requirement_block, "requirement")
     source = _parse_executor(
         _as_mapping(root.get("executor"), "executor"), path.parent, space
     )
     engine_block = _parse_engine(_as_mapping(root.get("engine"), "engine"), space)
-    termination = TerminationCriteria(**_present(
-        root.get("termination"), _kinds(TerminationCriteria), "termination"
-    ))
+    # requirement.confidence_target is another spelling of
+    # termination.beta_target; the termination block wins.
+    termination = TerminationCriteria(**{
+        "beta_target": _get(requirement_block, "confidence_target", "requirement",
+                            float),
+        **_present(root.get("termination"), _kinds(TerminationCriteria),
+                   "termination"),
+    })
     campaign_block = _present(root.get("campaign"), _kinds(CampaignSpec), "campaign")
 
     output = _as_mapping(root.get("output"), "output")
@@ -268,8 +274,10 @@ def _parse_space(params: Any, path: str) -> ParameterSpace:
 
 
 def _parse_requirement(block: Any, path: str) -> Requirement:
-    """The goal, constraints and confidence target of a requirement mapping."""
+    """The goal and constraints of a requirement mapping; its
+    ``confidence_target`` is read as a termination criterion."""
     block = _as_mapping(block, path)
+    _check_keys(block, ["goal", "constraints", "confidence_target"], path)
     goal = _present(block.get("goal"), _GOAL_KEYS, f"{path}.goal",
                     required=("metric", "direction"))
     goal = MetricSpec(name=goal.pop("metric"), **goal)
@@ -279,9 +287,7 @@ def _parse_requirement(block: Any, path: str) -> Requirement:
                                   required=("metric", "relation", "bound")))
         for i, c in enumerate(block.get("constraints") or [])
     ]
-    return Requirement(goal, tuple(constraints), **_present(
-        block, _kinds(Requirement), path, also=("goal", "constraints"),
-    ))
+    return Requirement(goal, tuple(constraints))
 
 
 def _parse_executor(
@@ -429,7 +435,6 @@ def run_result_to_dict(result: RunResult, config: EngineConfig) -> dict:
                 "goal": {"metric": req.goal.name, "direction": req.goal.direction,
                          "unit": req.goal.unit},
                 "constraints": [dataclasses.asdict(c) for c in req.constraints],
-                "confidence_target": req.confidence_target,
             },
             "selector": config.selector,
             "n_init": config.n_init,
@@ -462,10 +467,10 @@ def reanalyze_run_file(path: str | Path) -> list:
     """
     with Path(path).open("r", encoding="utf-8") as fh:
         try:
-            doc = _as_mapping(json.load(fh), str(path))
+            doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: invalid JSON: {e}") from None
-    cfg = _as_mapping(doc.get("config"), "config")
+    cfg = _as_mapping(_as_mapping(doc, str(path)).get("config"), "config")
     trials = doc.get("trials")
     if not isinstance(trials, list):
         _fail("trials", "expected a list")

@@ -233,14 +233,9 @@ class Requirement:
 
     goal: MetricSpec
     constraints: tuple[ConstraintSpec, ...] = ()
-    confidence_target: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        if self.confidence_target is not None and not (
-            0.0 <= self.confidence_target <= 1.0
-        ):
-            raise ConfigError("confidence_target must be in [0, 1]")
         constrained = [c.metric for c in self.constraints]
         for metric in constrained:
             if constrained.count(metric) > 1:
@@ -282,7 +277,6 @@ class CanonicalForm:
     goal_metric: str
     goal_sign: float
     constraints: tuple[CanonicalConstraint, ...]
-    confidence_target: float | None = None
 
     def goal_value(self, metrics: Mapping[str, float]) -> float:
         return self.goal_sign * metrics[self.goal_metric]
@@ -315,7 +309,6 @@ def canonicalize(req: Union[Requirement, CanonicalForm]) -> CanonicalForm:
         goal_metric=req.goal.name,
         goal_sign=goal_sign,
         constraints=tuple(constraints),
-        confidence_target=req.confidence_target,
     )
 
 

@@ -101,12 +101,6 @@ class EngineConfig:
         if not 0.0 <= self.rl_discount <= 1.0:
             raise ConfigError("rl_discount must be in [0, 1]")
 
-    @property
-    def effective_beta_target(self) -> float | None:
-        if self.termination.beta_target is not None:
-            return self.termination.beta_target
-        return self.requirement.confidence_target
-
 
 def initial_sample(
     space: ParameterSpace,
@@ -656,8 +650,11 @@ class Engine:
             and last.alpha >= term.alpha_target
         ):
             return "alpha_target"
-        beta_target = self.config.effective_beta_target
-        if beta_target is not None and last is not None and last.beta >= beta_target:
+        if (
+            term.beta_target is not None
+            and last is not None
+            and last.beta >= term.beta_target
+        ):
             return "beta_target"
         return None
 

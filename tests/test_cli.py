@@ -30,6 +30,7 @@ from apexopt.domain import (
     TerminationCriteria,
 )
 from apexopt.engine import SELECTOR_ALIASES
+from apexopt.evalharness import run_campaign
 from apexopt.executor import RemoteConfig
 from apexopt.surrogate import KernelConfig
 from tests.conftest import fail_fit_on_call
@@ -616,8 +617,8 @@ def test_every_key_reaches_its_dataclass(tmp_path):
     assert cfg.requirement == Requirement(
         MetricSpec("reliability", "maximize", "%"),
         (ConstraintSpec("energy", "<=", 40.0, 0.7),),
-        confidence_target=0.8,
     )
+    # termination.beta_target wins over its other spelling.
     assert cfg.termination == TerminationCriteria(25, 90.0, 0.85)
     assert (cfg.selector, cfg.n_init, cfg.init_strategy, cfg.delta, cfg.seed,
             cfg.rl_epsilon, cfg.rl_learning_rate, cfg.rl_discount) == (
@@ -635,9 +636,28 @@ def test_every_key_reaches_its_dataclass(tmp_path):
     assert spec.engine == bundle.engine_block
     assert spec.engine["kernel"] == cfg.kernel
 
+    termination = {k: v for k, v in EVERY_KEY["termination"].items()
+                   if k != "beta_target"}
+    path.write_text(yaml.safe_dump({**EVERY_KEY, "termination": termination}))
+    assert parse_config(path).termination == TerminationCriteria(25, 90.0, 0.8)
+
     remote = {"endpoint": "http://127.0.0.1:1", "poll_interval": 0.5,
               "trial_duration": 30.0, "timeout": 45.0, "http_timeout": 2.0}
     path.write_text(yaml.safe_dump(
         {**EVERY_KEY, "executor": {"kind": "remote", "remote": remote}}
     ))
     assert parse_config(path).source == RemoteConfig(**remote)
+
+
+def test_confidence_target_does_not_end_campaign_iterations(tmp_path):
+    # Campaign iterations stop at their budget only: a beta target that
+    # ended them early counted every one of them as failed.
+    def mutate(cfg):
+        cfg["requirement"]["confidence_target"] = 0.9
+        cfg["executor"]["replay"]["path"] = str(
+            resources.files("apexopt.data") / "crystal_demo.jsonl")
+
+    path = _bundled_variant(tmp_path, "crystal_replay.yaml", mutate)
+    bundle = parse_config(path)
+    result = run_campaign(bundle.campaign_spec(approach="apex-lcb", iterations=8))
+    assert (result.iterations, result.failures) == (8, 0)
