@@ -7,9 +7,10 @@ metrics, check termination, pick the next test point (with trap detection
 and the alternating escape procedures for the GP selectors), and execute
 one trial.
 
-Analysis is factored into :class:`AnalysisState` so that the per-trial
-confidence values are pure functions of the observation prefix and can be
-recomputed from a persisted trial log.
+Analysis is factored into :class:`AnalysisState`: the selectors read its
+attributes, and each update returns the trial's :class:`Confidence`
+record. The records are pure functions of the observation prefix, so
+``reanalyze`` recomputes them from a persisted trial log.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -255,34 +256,6 @@ class Confidence:
     reported_goal_median: float | None
 
 
-@dataclass
-class Analysis(Confidence):
-    """Everything derived from the observation prefix after one trial."""
-
-    n: int
-    kappa: float
-    constraint_models: dict[str, GPModel]
-    goal_mean: np.ndarray
-    goal_std: np.ndarray
-    counts: dict[int, int]
-    goal_medians: dict[int, float]
-    d_n: tuple[int, ...]
-    d_satisfying: tuple[int, ...]
-    d_violating: tuple[int, ...]
-    best_value: float | None
-    f_c_plus: dict[str, float]
-    goal_range: float
-
-    @property
-    def f_best(self) -> float:
-        """Improvement baseline for EI and the escape metric."""
-        if self.best_value is not None:
-            return self.best_value
-        if self.goal_medians:
-            return min(self.goal_medians.values())
-        return 0.0
-
-
 def sorted_median(values: Sequence[float]) -> float:
     """Median of an ascending list; equal to ``np.median`` for finite values."""
     k = len(values) // 2
@@ -301,9 +274,16 @@ class AnalysisState:
     Canonical values are ``sign * raw`` at the point of use; negation is
     exact, so canonical medians equal medians of canonical values.
 
+    Each ``update`` sets what the selectors read as attributes of the
+    state: the per-set ``counts`` and canonical ``goal_medians``, the GP
+    posterior (``goal_mean``, ``goal_std``, ``constraint_models``,
+    ``kappa``), the candidate pools (``d_n``, ``d_satisfying``,
+    ``d_violating``), the bests and the escape inputs. ``last`` holds the
+    trial's logged ``Confidence`` record.
+
     A trial changes only its own set, so each update recomputes that set's
-    feasibility flag and nothing else per set; the kernel rows of the sets
-    tried are kept for the whole run.
+    count, median and feasibility flag and nothing else per set; the
+    kernel rows of the sets tried are kept for the whole run.
     """
 
     def __init__(
@@ -326,15 +306,38 @@ class AnalysisState:
         self._violating = np.zeros(space.n_sets, dtype=bool)
         self._rows = surrogate.KernelRows(space, kernel)
         self.trace = confidence.SuboptimalityTrace()
-        self.last: Analysis | None = None
+        self.counts: dict[int, int] = {}
+        self.goal_medians: dict[int, float] = {}
+        self.constraint_models: dict[str, GPModel] = {}
+        self.goal_mean: np.ndarray | None = None
+        self.goal_std: np.ndarray | None = None
+        self.kappa = 0.0
+        self.d_n, self.d_satisfying, self.d_violating = self._split()
+        self.best_index: int | None = None
+        self.best_value: float | None = None
+        self.reported_index: int | None = None
+        self.f_c_plus: dict[str, float] = {}
+        # The observed goal range; 0 before the first trial.
+        self.goal_range = 0.0
+        self.last: Confidence | None = None
 
     @property
     def n(self) -> int:
         """The number of observations so far."""
         return len(self._set_indices)
 
-    def update(self, obs: Observation) -> Analysis:
-        """Add the next observation, whose trial index must be ``n + 1``."""
+    @property
+    def f_best(self) -> float:
+        """Improvement baseline for EI and the escape metric."""
+        if self.best_value is not None:
+            return self.best_value
+        if self.goal_medians:
+            return min(self.goal_medians.values())
+        return 0.0
+
+    def update(self, obs: Observation) -> Confidence:
+        """Add the next observation, whose trial index must be ``n + 1``,
+        and return the trial's confidence record."""
         if obs.trial_index != self.n + 1:
             raise ConfigError(
                 f"trial_index {obs.trial_index} out of order, expected {self.n + 1}"
@@ -357,96 +360,78 @@ class AnalysisState:
         models = surrogate.fit_many_xy(
             self.space, set_indices, targets, self.kernel, rows=self._rows
         )
-        constraint_models = {
-            c.metric: models[f"c:{c.metric}"] for c in canon.constraints
-        }
         goal_mean, goal_var = models["goal"].predict_all()
-        goal_std = np.sqrt(goal_var)
 
         self._columns = columns
         self._set_indices = set_indices
+        self.constraint_models = {
+            c.metric: models[f"c:{c.metric}"] for c in canon.constraints
+        }
+        self.goal_mean = goal_mean
+        self.goal_std = np.sqrt(goal_var)
         readings = self._sorted.setdefault(idx, {m: [] for m in columns})
         for metric, sorted_values in readings.items():
             bisect.insort(sorted_values, obs.metrics[metric])
-        n = self.n
         goal_sorted = readings[canon.goal_metric]
-        # The previous snapshot plus this trial; each snapshot owns its dicts.
-        prev = self.last
-        counts = dict(prev.counts) if prev is not None else {}
-        goal_medians = dict(prev.goal_medians) if prev is not None else {}
-        counts[idx] = len(goal_sorted)
-        goal_medians[idx] = canon.goal_sign * sorted_median(goal_sorted)
+        self.counts[idx] = len(goal_sorted)
+        self.goal_medians[idx] = canon.goal_sign * sorted_median(goal_sorted)
         self._observed[idx] = True
         self._violating[idx] = not all(
             c.sign * sorted_median(readings[c.metric]) <= c.bound
             for c in canon.constraints
         )
+        self.d_n, self.d_satisfying, self.d_violating = self._split()
 
-        d_n, d_sat, d_vio = self.split()
+        prev_index, prev_value = self.best_index, self.best_value
         best, reported = current_best(
-            d_sat, goal_medians, counts,
-            prev.reported_index if prev is not None else None,
+            self.d_satisfying, self.goal_medians, self.counts, self.reported_index
         )
-        best_value = goal_medians[best] if best is not None else None
+        best_value = self.goal_medians[best] if best is not None else None
+        self.best_index, self.best_value = best, best_value
+        self.reported_index = reported
 
-        kappa_n = confidence.kappa(n, self.space.n_sets, self.delta)
-        if best is not None and d_n:
-            cand = np.asarray(d_n, dtype=int)
+        self.kappa = confidence.kappa(self.n, self.space.n_sets, self.delta)
+        if best is not None and self.d_n:
+            cand = np.asarray(self.d_n, dtype=int)
             tau = confidence.instant_suboptimality(
-                best_value, goal_mean[cand], goal_std[cand], kappa_n
+                best_value, self.goal_mean[cand], self.goal_std[cand], self.kappa
             )
         else:
             tau = None
         tau = self.trace.record(tau)
         alpha, theta = confidence.optimality_alpha(self.trace)
 
-        goal_range = float(goal_values.max() - goal_values.min())
-        if best is not None and prev is not None and prev.best_index is not None:
-            a_b1 = confidence.alpha_b1(best_value, prev.best_value, goal_range)
-            a_b2 = confidence.alpha_b2(a_b1, self.space, best, prev.best_index)
+        self.goal_range = float(goal_values.max() - goal_values.min())
+        if best is not None and prev_index is not None:
+            a_b1 = confidence.alpha_b1(best_value, prev_value, self.goal_range)
+            a_b2 = confidence.alpha_b2(a_b1, self.space, best, prev_index)
         else:
             a_b1 = 0.0
             a_b2 = 0.0
 
-        beta = self._beta(reported)
-        f_c_plus = {
+        self.f_c_plus = {
             c.metric: max(float(targets[f"c:{c.metric}"].min()), c.bound)
             for c in canon.constraints
         }
-        reported_goal_median = (
-            sorted_median(self._sorted[reported][canon.goal_metric])
-            if reported is not None
-            else None
-        )
-
-        self.last = Analysis(
-            n=n,
-            kappa=kappa_n,
-            constraint_models=constraint_models,
-            goal_mean=goal_mean,
-            goal_std=goal_std,
-            counts=counts,
-            goal_medians=goal_medians,
-            d_n=d_n,
-            d_satisfying=d_sat,
-            d_violating=d_vio,
-            best_index=best,
-            best_value=best_value,
-            reported_index=reported,
-            reported_goal_median=reported_goal_median,
-            f_c_plus=f_c_plus,
-            goal_range=goal_range,
+        self.last = Confidence(
             tau=tau,
             cumulative=self.trace.cumulative[-1],
             theta=theta,
             alpha=alpha,
             alpha_b1=a_b1,
             alpha_b2=a_b2,
-            beta=beta,
+            beta=self._beta(reported),
+            best_index=best,
+            reported_index=reported,
+            reported_goal_median=(
+                sorted_median(self._sorted[reported][canon.goal_metric])
+                if reported is not None
+                else None
+            ),
         )
         return self.last
 
-    def split(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    def _split(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """Candidate pools from the per-set constraint medians.
 
         Returns (optimistic candidates, observed satisfying, observed
@@ -479,8 +464,7 @@ class AnalysisState:
             not c.satisfied(obs.metrics[c.metric])
             for c in self.canonical.constraints
         )
-        penalty = self.last.goal_range if self.last is not None else 0.0
-        return -goal - (penalty if violated else 0.0)
+        return -goal - (self.goal_range if violated else 0.0)
 
 
 @dataclass
@@ -603,7 +587,7 @@ class Engine:
                 idx = baselines.random_open_set(self.space, excluded, self.rng)
             self._pending = Choice(idx, "init")
         else:
-            self._pending = self._choose(self.analysis.last, excluded)
+            self._pending = self._choose(self.analysis, excluded)
         return self._pending
 
     def tell(self, choice: Choice, obs: Observation) -> TrialLogEntry:
@@ -619,18 +603,18 @@ class Engine:
             raise ConfigError(
                 f"observation of set {obs.set_index} told for set {choice.index}"
             )
-        analysis = self.analysis.update(obs)
+        record = self.analysis.update(obs)
         self._pending = None
         if self.config.selector in RL_SELECTORS:
             self._policy.update(self.analysis.reward(obs), obs.set_index)
         entry = TrialLogEntry(
-            n=analysis.n,
+            n=self.analysis.n,
             set_index=obs.set_index,
             selected_by=choice.selected_by,
             trap=choice.trap,
             escape_mode=choice.escape_mode,
             metrics=dict(obs.metrics),
-            **{f.name: getattr(analysis, f.name) for f in fields(Confidence)},
+            **asdict(record),
         )
         self.trials.append(entry)
         return entry
@@ -644,17 +628,9 @@ class Engine:
         if term.max_trials is not None and n >= term.max_trials:
             return "max_trials"
         last = self.analysis.last
-        if (
-            term.alpha_target is not None
-            and last is not None
-            and last.alpha >= term.alpha_target
-        ):
+        if term.alpha_target is not None and last.alpha >= term.alpha_target:
             return "alpha_target"
-        if (
-            term.beta_target is not None
-            and last is not None
-            and last.beta >= term.beta_target
-        ):
+        if term.beta_target is not None and last.beta >= term.beta_target:
             return "beta_target"
         return None
 
@@ -675,7 +651,7 @@ class Engine:
 
     # -- selection -----------------------------------------------------------
 
-    def _choose(self, analysis: Analysis, excluded: frozenset[int]) -> Choice:
+    def _choose(self, analysis: AnalysisState, excluded: frozenset[int]) -> Choice:
         """The next set under the configured selector; never an excluded one."""
         kind = self.config.selector
         if kind in ("gp-lcb", "ei"):
@@ -695,7 +671,7 @@ class Engine:
             sel = baselines.random_open_set(self.space, excluded, self.rng)
         return Choice(sel, kind)
 
-    def _choose_gp(self, analysis: Analysis, excluded: frozenset[int]) -> Choice:
+    def _choose_gp(self, analysis: AnalysisState, excluded: frozenset[int]) -> Choice:
         """GP-LCB / EI selection with trap detection and escapes."""
         kind = self.config.selector
         pool = np.array([i for i in analysis.d_n if i not in excluded], dtype=int)
@@ -718,7 +694,7 @@ class Engine:
             sel, kind, trap=True, escape_mode=mode
         )
 
-    def _select(self, analysis: Analysis, pool: np.ndarray) -> tuple[int, float]:
+    def _select(self, analysis: AnalysisState, pool: np.ndarray) -> tuple[int, float]:
         return acquisition.select(
             self.config.selector,
             pool,
@@ -729,7 +705,7 @@ class Engine:
         )
 
     def _escape_constraint(
-        self, analysis: Analysis, excluded: frozenset[int], trap: bool
+        self, analysis: AnalysisState, excluded: frozenset[int], trap: bool
     ) -> Choice | None:
         """Constraint-noise escape over the observed-violating sets; None
         when no such set is open or there are no constraints."""
@@ -754,11 +730,12 @@ def reanalyze(
     observations: Sequence[Observation],
     delta: float,
     kernel: KernelConfig,
-) -> list[Analysis]:
-    """Recompute the per-trial analysis from a persisted observation log.
+) -> list[Confidence]:
+    """Recompute each trial's confidence record from a persisted
+    observation log.
 
     The confidence values are pure functions of the observation prefix,
-    so this reproduces the original run's alpha/beta/best sequences.
+    so this reproduces the ten values the original run logged per trial.
     """
     state = AnalysisState(space, requirement, delta, kernel)
     return [state.update(obs) for obs in observations]

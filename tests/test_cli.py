@@ -1,6 +1,7 @@
 """CLI: config parsing, subcommands, exit codes, output artifacts."""
 
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -373,14 +374,21 @@ CUSTOM_KERNEL = {"kind": "matern52", "length_scale": 0.5, "signal_variance": 2.0
                  "noise_variance": 0.05, "jitter": 1e-7}
 
 
+# Sets every config key away from its default: sobol, suggestions, log2,
+# Matern-5/2 and the RL settings.
+EVERY_KEY_YAML = Path(__file__).resolve().parents[1] / "tools" / "every_key.yaml"
+
+
 @pytest.mark.parametrize("selector", sorted(set(SELECTOR_ALIASES.values())))
 @pytest.mark.parametrize("config", ["crystal_replay.yaml", "synthetic_demo.yaml",
-                                    "synthetic_demo.yaml+matern52"])
+                                    "synthetic_demo.yaml+matern52", "every_key.yaml"])
 def test_reanalysis_reproduces_every_trial_exactly(config, selector, tmp_path):
     out = tmp_path / "rt"
     if config.endswith("+matern52"):
         cfg = _bundled_variant(tmp_path, "synthetic_demo.yaml",
                                lambda c: c["engine"].update(kernel=CUSTOM_KERNEL))
+    elif config == "every_key.yaml":
+        cfg = EVERY_KEY_YAML
     else:
         cfg = resources.files("apexopt.data") / config
     assert main(["optimize", str(cfg), "--selector", selector,
@@ -388,13 +396,12 @@ def test_reanalysis_reproduces_every_trial_exactly(config, selector, tmp_path):
     doc = json.loads((out / "run_result.json").read_text())
     if config.endswith("+matern52"):
         assert doc["config"]["kernel"] == CUSTOM_KERNEL
-    analyses = reanalyze_run_file(out / "run_result.json")
-    assert len(analyses) == doc["n_trials"] == len(doc["trials"])
-    for stored, fresh in zip(doc["trials"], analyses):
-        assert fresh.alpha == stored["alpha"]
-        assert fresh.beta == stored["beta"]
-        assert fresh.best_index == stored["best_index"]
-        assert fresh.reported_index == stored["reported_index"]
+    records = reanalyze_run_file(out / "run_result.json")
+    assert len(records) == doc["n_trials"] == len(doc["trials"])
+    for stored, fresh in zip(doc["trials"], records):
+        fresh = dataclasses.asdict(fresh)
+        assert fresh == {key: stored[key] for key in fresh}
+        assert len(fresh) == 10
 
 
 @pytest.fixture(scope="module")

@@ -100,18 +100,15 @@ class TestFilterSatisfying:
     @staticmethod
     def observe(state, set_index, prr_values):
         for k, prr in enumerate(prr_values, start=state.n + 1):
-            analysis = state.update(
-                Observation(k, set_index, {"energy": 100.0 + k, "prr": prr})
-            )
-        return analysis.d_n, analysis.d_satisfying, analysis.d_violating
+            state.update(Observation(k, set_index, {"energy": 100.0 + k, "prr": prr}))
+        return state.d_n, state.d_satisfying, state.d_violating
 
     def test_no_observations_gives_full_space(self, crystal_space,
                                               energy_prr_requirement):
         state = AnalysisState(crystal_space, energy_prr_requirement, 0.1,
                               KernelConfig())
-        d_n, sat, vio = state.split()
-        assert d_n == tuple(range(16))
-        assert sat == () and vio == ()
+        assert state.d_n == tuple(range(16))
+        assert state.d_satisfying == () and state.d_violating == ()
 
     def test_median_of_60_70_70_is_included(self, crystal_space,
                                             energy_prr_requirement):
@@ -135,20 +132,20 @@ class TestFilterSatisfying:
                            termination=TerminationCriteria(max_trials=40),
                            selector="gp-lcb", seed=3)
         result = Engine(cfg, SyntheticExecutor(noisy, 3)).run()
-        observations = observations_of(result)
-        analyses = reanalyze(space, req, observations, cfg.delta, cfg.kernel)
+        state = AnalysisState(space, req, cfg.delta, cfg.kernel)
         prr: dict[int, list[float]] = {}
         moved = set()
-        for obs, analysis in zip(observations, analyses):
+        for obs in observations_of(result):
+            state.update(obs)
             prr.setdefault(obs.set_index, []).append(obs.metrics["prr"])
             ok = {i for i, v in prr.items() if np.median(v) >= 65.0}
             vio = sorted(set(prr) - ok)
-            assert analysis.d_satisfying == tuple(sorted(ok))
-            assert analysis.d_violating == tuple(vio)
-            assert analysis.d_n == tuple(i for i in range(16) if i not in vio)
-            assert all(type(i) is int for i in analysis.d_n)
+            assert state.d_satisfying == tuple(sorted(ok))
+            assert state.d_violating == tuple(vio)
+            assert state.d_n == tuple(i for i in range(16) if i not in vio)
+            assert all(type(i) is int for i in state.d_n)
             moved |= set(vio)
-        assert moved and analyses[-1].d_satisfying
+        assert moved and state.d_satisfying
 
 
 class TestAnalysisStateUpdate:
@@ -506,24 +503,25 @@ class TestGoalMetricAlsoConstrained:
         raw: dict[int, list[float]] = {}
         for k, (idx, value) in enumerate(zip(self.TRIAL_SETS, values), start=1):
             raw.setdefault(idx, []).append(value)
-            analysis = state.update(Observation(k, idx, {"m": value}))
+            record = state.update(Observation(k, idx, {"m": value}))
             medians = {i: np.median(v) for i, v in raw.items()}
-            assert analysis.counts == {i: len(v) for i, v in raw.items()}
+            assert state.counts == {i: len(v) for i, v in raw.items()}
             for i, med in medians.items():
-                assert analysis.goal_medians[i] == canon.goal_sign * med
+                assert state.goal_medians[i] == canon.goal_sign * med
             ok = {i for i, med in medians.items()
                   if (med >= bound if relation == ">=" else med <= bound)}
-            assert analysis.d_satisfying == tuple(sorted(ok))
-            assert analysis.d_violating == tuple(sorted(set(raw) - ok))
-            reported = analysis.reported_index
+            assert state.d_satisfying == tuple(sorted(ok))
+            assert state.d_violating == tuple(sorted(set(raw) - ok))
+            reported = record.reported_index
+            assert reported == state.reported_index
             if reported is None:
-                assert analysis.beta == 0.0
+                assert record.beta == 0.0
                 continue
-            assert analysis.reported_goal_median == medians[reported]
-            assert analysis.beta == robustness_beta(raw[reported],
-                                                    canon.constraints[0])
+            assert record.reported_goal_median == medians[reported]
+            assert record.beta == robustness_beta(raw[reported],
+                                                  canon.constraints[0])
         assert sorted(len(v) for v in raw.values()) == [1, 2, 3, 4]
-        assert analysis.d_violating == (2,)
+        assert state.d_violating == (2,)
 
 
 @pytest.mark.parametrize("selector", sorted(set(SELECTOR_ALIASES.values())))
