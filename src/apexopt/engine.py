@@ -336,8 +336,12 @@ class AnalysisState:
         return 0.0
 
     def update(self, obs: Observation) -> Confidence:
-        """Add the next observation, whose trial index must be ``n + 1``,
-        and return the trial's confidence record."""
+        """Add the next observation and return the trial's confidence record.
+
+        Its trial index must be ``n + 1``, its set one of the space, and
+        each required metric a finite number; otherwise ConfigError is
+        raised before anything is recorded.
+        """
         if obs.trial_index != self.n + 1:
             raise ConfigError(
                 f"trial_index {obs.trial_index} out of order, expected {self.n + 1}"
@@ -348,6 +352,17 @@ class AnalysisState:
                 f"observation at trial {obs.trial_index} missing metrics {missing}"
             )
         idx = obs.set_index
+        if not 0 <= idx < self.space.n_sets:
+            raise ConfigError(
+                f"observation at trial {obs.trial_index}: set_index {idx} is "
+                f"outside 0..{self.space.n_sets - 1}"
+            )
+        for m in self._columns:
+            if not math.isfinite(obs.metrics[m]):
+                raise ConfigError(
+                    f"observation at trial {obs.trial_index}: metric {m!r} is "
+                    f"{obs.metrics[m]}, not a finite number"
+                )
         canon = self.canonical
         # Fit and predict on the new trial-order lists before recording
         # anything, so that a FitError leaves the state as it was.

@@ -444,9 +444,18 @@ def _in_doc(change):
     (_in_doc(lambda d: d["trials"][0]["metrics"].update(energy="abc")),
      "trials[0].metrics.energy"),
     (lambda text: text[: len(text) // 2], "run_result.json: invalid JSON"),
+    (_in_doc(lambda d: d["trials"][0].update(set_index=99)),
+     "trial 1: set_index 99 is outside 0..15"),
+    (_in_doc(lambda d: d["trials"][0].update(set_index=16)),
+     "trial 1: set_index 16 is outside 0..15"),
+    (_in_doc(lambda d: d["trials"][0].update(set_index=-1)),
+     "trial 1: set_index -1 is outside 0..15"),
+    (_in_doc(lambda d: d["trials"][0]["metrics"].update(energy=math.nan)),
+     "trial 1: metric 'energy' is nan"),
 ], ids=["goal-without-direction", "text-bound", "kernel-key-typo",
         "constraint-key-typo", "text-values", "trial-without-set-index",
-        "text-metric", "not-json"])
+        "text-metric", "not-json", "set-index-99", "set-index-16",
+        "set-index-minus-1", "nan-metric"])
 def test_damaged_run_file_is_config_error_naming_the_field(run_file_doc, tmp_path,
                                                            damage, field):
     path = tmp_path / "run_result.json"

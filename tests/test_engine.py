@@ -566,6 +566,21 @@ def test_tell_rejects_an_observation_it_did_not_ask_for():
     assert eng.analysis.n == 1
 
 
+def test_non_finite_metric_in_tell_leaves_the_engine_as_it_was():
+    bundle = parse_config(resources.files("apexopt.data") / "crystal_replay.yaml")
+    cfg = bundle.engine_config()
+    eng = Engine(cfg, make_executor(bundle.source, cfg.space, cfg.seed,
+                                    cfg.requirement.metric_names))
+    choice = eng.ask()
+    obs = eng.executor.run_trial(choice.index, 1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="trial 1: metric 'energy'"):
+            eng.tell(choice, Observation(1, choice.index, {**obs.metrics, "energy": bad}))
+        assert eng.analysis.n == len(eng.trials) == 0
+    eng.tell(choice, obs)
+    assert eng.analysis.n == len(eng.trials) == 1
+
+
 def test_fit_error_in_tell_leaves_the_engine_as_it_was(monkeypatch):
     bundle = parse_config(resources.files("apexopt.data") / "synthetic_demo.yaml")
     cfg = bundle.engine_config()
