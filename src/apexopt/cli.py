@@ -161,52 +161,53 @@ def _present(block: Any, kinds: Mapping[str, type], path: str,
 
 # -- config model -------------------------------------------------------------
 
+def _given(**values) -> dict:
+    """The keyword values that are not None."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
+def _engine_keywords(config: EngineConfig) -> dict:
+    """The EngineConfig fields besides its space, requirement and
+    termination: what a campaign shares across its iterations."""
+    return {
+        f.name: getattr(config, f.name)
+        for f in dataclasses.fields(config)
+        if f.name not in ("space", "requirement", "termination")
+    }
+
+
 @dataclasses.dataclass
 class ConfigBundle:
     """Everything parsed from one YAML file."""
 
-    path: Path
-    space: ParameterSpace
-    requirement: Requirement
+    config: EngineConfig
     source: TrialSource
-    engine_block: dict
-    termination: TerminationCriteria
     campaign_block: dict
     output_dir: Path
 
     def engine_config(self, seed: int | None = None,
                       selector: str | None = None,
                       max_trials: int | None = None) -> EngineConfig:
-        eng = dict(self.engine_block)
-        if seed is not None:
-            eng["seed"] = seed
-        if selector is not None:
-            eng["selector"] = selector
-        termination = self.termination
+        """The parsed config with each override that is not None applied."""
+        termination = self.config.termination
         if max_trials is not None:
             termination = dataclasses.replace(termination, max_trials=max_trials)
-        return EngineConfig(
-            space=self.space,
-            requirement=self.requirement,
-            termination=termination,
-            **eng,
-        )
+        return dataclasses.replace(self.config, termination=termination,
+                                   **_given(seed=seed, selector=selector))
 
     def campaign_spec(self, **overrides) -> CampaignSpec:
-        eng = self.engine_block
-        blk = {
-            "approach": eng.get("selector", EngineConfig.selector),
-            "base_seed": eng.get("seed", EngineConfig.seed),
-            **self.campaign_block,
-            **{k: v for k, v in overrides.items() if v is not None},
-        }
         if isinstance(self.source, RemoteConfig):
             raise ConfigError(
                 "campaign: executor.kind must be 'replay' or 'synthetic'"
             )
-        return CampaignSpec(
-            requirement=self.requirement, source=self.source, engine=eng, **blk
-        )
+        blk = {
+            "approach": self.config.selector,
+            "base_seed": self.config.seed,
+            **self.campaign_block,
+            **_given(**overrides),
+        }
+        return CampaignSpec(requirement=self.config.requirement, source=self.source,
+                            engine=_engine_keywords(self.config), **blk)
 
 
 def parse_config(path: str | Path) -> ConfigBundle:
@@ -235,7 +236,6 @@ def parse_config(path: str | Path) -> ConfigBundle:
     source = _parse_executor(
         _as_mapping(root.get("executor"), "executor"), path.parent, space
     )
-    engine_block = _parse_engine(_as_mapping(root.get("engine"), "engine"), space)
     # requirement.confidence_target is another spelling of
     # termination.beta_target; the termination block wins.
     termination = TerminationCriteria(**{
@@ -244,6 +244,10 @@ def parse_config(path: str | Path) -> ConfigBundle:
         **_present(root.get("termination"), _kinds(TerminationCriteria),
                    "termination"),
     })
+    config = EngineConfig(
+        space=space, requirement=requirement, termination=termination,
+        **_parse_engine(_as_mapping(root.get("engine"), "engine"), space),
+    )
     campaign_block = _present(root.get("campaign"), _kinds(CampaignSpec), "campaign")
 
     output = _as_mapping(root.get("output"), "output")
@@ -251,12 +255,8 @@ def parse_config(path: str | Path) -> ConfigBundle:
     output_dir = Path(_get(output, "dir", "output", str, "results"))
 
     return ConfigBundle(
-        path=path,
-        space=space,
-        requirement=requirement,
+        config=config,
         source=source,
-        engine_block=engine_block,
-        termination=termination,
         campaign_block=campaign_block,
         output_dir=output_dir,
     )

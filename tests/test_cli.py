@@ -30,7 +30,7 @@ from apexopt.domain import (
     Requirement,
     TerminationCriteria,
 )
-from apexopt.engine import SELECTOR_ALIASES
+from apexopt.engine import SELECTOR_ALIASES, EngineConfig
 from apexopt.evalharness import run_campaign
 from apexopt.executor import RemoteConfig
 from apexopt.surrogate import KernelConfig
@@ -76,9 +76,9 @@ def config_file(tmp_path, bundled_dataset_path):
 class TestParseConfig:
     def test_crystal_example_is_valid(self, config_file):
         bundle = parse_config(config_file())
-        assert bundle.space.n_sets == 16
-        assert bundle.requirement.goal.name == "energy"
-        assert bundle.requirement.constraints[0].bound == 65.0
+        assert bundle.config.space.n_sets == 16
+        assert bundle.config.requirement.goal.name == "energy"
+        assert bundle.config.requirement.constraints[0].bound == 65.0
 
     def test_missing_n_init_defaults_to_six(self, config_file):
         bundle = parse_config(config_file())
@@ -274,6 +274,27 @@ class TestOptimizeCommand:
     def test_config_error_exit_code(self, config_file):
         path = config_file(lambda c: c["engine"].update({"selector": "nope"}))
         assert main(["optimize", path]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("engine, args, message", [
+        ({"selector": "nope"}, ["campaign"], "unknown selector 'nope'"),
+        ({"selector": "nope"}, ["optimize", "--selector", "ger"],
+         "unknown selector 'nope'"),
+        ({"seed": -1}, ["campaign"], "seed must be nonnegative"),
+        ({"seed": -1}, ["optimize", "--seed", "3"], "seed must be nonnegative"),
+    ], ids=["selector-campaign", "selector-flag", "seed-campaign", "seed-flag"])
+    def test_bad_engine_value_is_an_error_when_overridden(self, tmp_path, capsys,
+                                                          engine, args, message):
+        # The campaign block sets its own approach and base seed.
+        def mutate(cfg):
+            cfg["engine"].update(engine)
+            cfg["executor"]["replay"]["path"] = str(
+                resources.files("apexopt.data") / "crystal_demo.jsonl")
+
+        path = _bundled_variant(tmp_path, "crystal_replay.yaml", mutate)
+        command, *flags = args
+        assert main([command, path, *flags, "--out", str(tmp_path / "out")]) == (
+            EXIT_CONFIG)
+        assert message in capsys.readouterr().err
 
     def test_unsatisfiable_termination_exit_code(self, config_file):
         path = config_file(
@@ -576,7 +597,7 @@ def test_log2_scale_parameter_parses(tmp_path):
     path = tmp_path / "log2.yaml"
     path.write_text(yaml.safe_dump(cfg))
     bundle = parse_config(path)
-    d = bundle.space.defs[0]
+    d = bundle.config.space.defs[0]
     assert d.normalize(256) == pytest.approx(1 / 3)
 
 
@@ -649,13 +670,14 @@ def test_every_key_reaches_its_dataclass(tmp_path):
     spec = bundle.campaign_spec()
     assert (spec.approach, spec.iterations, spec.max_trials, spec.base_seed,
             spec.bins, spec.jobs) == ("gel", 7, 30, 4, 10, 2)
-    assert spec.engine == bundle.engine_block
+    assert EngineConfig(cfg.space, cfg.requirement, cfg.termination,
+                        **spec.engine) == bundle.config == cfg
     assert spec.engine["kernel"] == cfg.kernel
 
     termination = {k: v for k, v in EVERY_KEY["termination"].items()
                    if k != "beta_target"}
     path.write_text(yaml.safe_dump({**EVERY_KEY, "termination": termination}))
-    assert parse_config(path).termination == TerminationCriteria(25, 90.0, 0.8)
+    assert parse_config(path).config.termination == TerminationCriteria(25, 90.0, 0.8)
 
     remote = {"endpoint": "http://127.0.0.1:1", "poll_interval": 0.5,
               "trial_duration": 30.0, "timeout": 45.0, "http_timeout": 2.0}
