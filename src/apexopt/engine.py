@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -629,7 +629,7 @@ class Engine:
             trap=choice.trap,
             escape_mode=choice.escape_mode,
             metrics=dict(obs.metrics),
-            **asdict(record),
+            **vars(record),
         )
         self.trials.append(entry)
         return entry
