@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -317,7 +318,7 @@ class AnalysisState:
         self.best_value: float | None = None
         self.reported_index: int | None = None
         self.f_c_plus: dict[str, float] = {}
-        # The observed goal range; 0 before the first trial.
+        # The canonical goal's observed range, the RL violation penalty.
         self.goal_range = 0.0
         self.last: Confidence | None = None
 
@@ -358,10 +359,11 @@ class AnalysisState:
                 f"outside 0..{self.space.n_sets - 1}"
             )
         for m in self._columns:
-            if not math.isfinite(obs.metrics[m]):
+            value = obs.metrics[m]
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ConfigError(
                     f"observation at trial {obs.trial_index}: metric {m!r} is "
-                    f"{obs.metrics[m]}, not a finite number"
+                    f"{value!r}, not a finite number"
                 )
         canon = self.canonical
         # Fit and predict on the new trial-order lists before recording
