@@ -353,10 +353,10 @@ class AnalysisState:
                 f"observation at trial {obs.trial_index} missing metrics {missing}"
             )
         idx = obs.set_index
-        if not 0 <= idx < self.space.n_sets:
+        if not (isinstance(idx, numbers.Integral) and 0 <= idx < self.space.n_sets):
             raise ConfigError(
-                f"observation at trial {obs.trial_index}: set_index {idx} is "
-                f"outside 0..{self.space.n_sets - 1}"
+                f"observation at trial {obs.trial_index}: set_index {idx!r} is "
+                f"not one of the sets 0..{self.space.n_sets - 1}"
             )
         for m in self._columns:
             value = obs.metrics[m]

@@ -466,11 +466,11 @@ def _in_doc(change):
      "trials[0].metrics.energy"),
     (lambda text: text[: len(text) // 2], "run_result.json: invalid JSON"),
     (_in_doc(lambda d: d["trials"][0].update(set_index=99)),
-     "trial 1: set_index 99 is outside 0..15"),
+     "trial 1: set_index 99 is not one of the sets 0..15"),
     (_in_doc(lambda d: d["trials"][0].update(set_index=16)),
-     "trial 1: set_index 16 is outside 0..15"),
+     "trial 1: set_index 16 is not one of the sets 0..15"),
     (_in_doc(lambda d: d["trials"][0].update(set_index=-1)),
-     "trial 1: set_index -1 is outside 0..15"),
+     "trial 1: set_index -1 is not one of the sets 0..15"),
     (_in_doc(lambda d: d["trials"][0]["metrics"].update(energy=math.nan)),
      "trial 1: metric 'energy' is nan"),
 ], ids=["goal-without-direction", "text-bound", "kernel-key-typo",

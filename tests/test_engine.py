@@ -560,6 +560,10 @@ def test_tell_rejects_an_observation_it_did_not_ask_for():
         eng.tell(choice, eng.executor.run_trial(other, 1))
     with pytest.raises(ConfigError, match="out of order"):
         eng.tell(choice, eng.executor.run_trial(choice.index, 2))
+    # A float equals the chosen index but is not a set index.
+    obs = eng.executor.run_trial(choice.index, 1)
+    with pytest.raises(ConfigError, match=f"set_index {choice.index}.0 is not one"):
+        eng.tell(choice, Observation(1, float(choice.index), obs.metrics))
     assert eng.analysis.n == 0 and eng.trials == []
     # The pending choice survives the rejections and takes its own trial.
     eng.tell(choice, eng.executor.run_trial(choice.index, 1))
