@@ -168,7 +168,8 @@ def _given(**values) -> dict:
 
 def _engine_keywords(config: EngineConfig) -> dict:
     """The EngineConfig fields besides its space, requirement and
-    termination: what a campaign shares across its iterations."""
+    termination: what a campaign shares across its iterations, and the
+    engine keys of a run file's config block."""
     return {
         f.name: getattr(config, f.name)
         for f in dataclasses.fields(config)
@@ -436,12 +437,9 @@ def run_result_to_dict(result: RunResult, config: EngineConfig) -> dict:
                          "unit": req.goal.unit},
                 "constraints": [dataclasses.asdict(c) for c in req.constraints],
             },
-            "selector": config.selector,
-            "n_init": config.n_init,
-            "init_strategy": config.init_strategy,
-            "delta": config.delta,
+            **_engine_keywords(config),
+            "suggestions": [s.values for s in config.suggestions],
             "kernel": dataclasses.asdict(config.kernel),
-            "seed": config.seed,
             "termination": dataclasses.asdict(config.termination),
         },
         "terminated_by": result.terminated_by,

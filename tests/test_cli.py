@@ -425,6 +425,41 @@ def test_reanalysis_reproduces_every_trial_exactly(config, selector, tmp_path):
         assert len(fresh) == 10
 
 
+def test_run_file_records_every_engine_config_field(tmp_path):
+    out = tmp_path / "every-key"
+    assert main(["optimize", str(EVERY_KEY_YAML), "--out", str(out)]) == EXIT_OK
+    recorded = json.loads((out / "run_result.json").read_text())["config"]
+    expected = {
+        # The space is recorded as its parameter list.
+        "parameters": [
+            {"name": "interval", "values": [16, 64, 256, 1024], "unit": "ms",
+             "scale": "log2"},
+            {"name": "power", "values": [-6, -3, 0, 3], "unit": "dBm",
+             "scale": "linear"},
+        ],
+        "requirement": {
+            "goal": {"metric": "energy", "direction": "minimize", "unit": "mJ"},
+            "constraints": [{"metric": "reliability", "relation": ">=",
+                             "bound": 60, "percentile": 0.4}],
+        },
+        "termination": {"max_trials": 40, "alpha_target": 90, "beta_target": 0.85},
+        "selector": "ei",
+        "n_init": 5,
+        "init_strategy": "sobol",
+        "suggestions": [[1024, 0], [64, 3]],
+        "delta": 0.2,
+        "kernel": {"kind": "matern52", "length_scale": 0.6, "signal_variance": 1.5,
+                   "noise_variance": 0.05, "jitter": 1e-7},
+        "seed": 7,
+        "rl_epsilon": 0.2,
+        "rl_learning_rate": 0.3,
+        "rl_discount": 0.5,
+    }
+    fields = {f.name for f in dataclasses.fields(EngineConfig)}
+    assert set(expected) == fields - {"space"} | {"parameters"}
+    assert {key: recorded[key] for key in expected} == expected
+
+
 @pytest.fixture(scope="module")
 def run_file_doc(tmp_path_factory) -> dict:
     """The run file of a bundled replay run, which has a constraint."""
