@@ -4,8 +4,10 @@ The matrix is ``optimize`` and ``campaign --iterations 3 --max-trials 60``
 for each of the seven selectors on the two bundled configs, the two
 perfbench configs and ``tools/every_key.yaml`` (which sets the config keys
 the others leave at their defaults, and runs its campaigns on two
-workers), plus ``validate-dataset`` of the bundled dataset at ``--n-r 6``
-and ``--n-r 7``: 72 runs. Each run is a fresh
+workers), one ``campaign --max-trials 97`` of the bundled replay config
+(its dataset has 96 records, so no iteration completes), plus
+``validate-dataset`` of the bundled dataset at ``--n-r 6`` and
+``--n-r 7``: 73 runs. Each run is a fresh
 ``python -m apexopt.cli`` process with its own temporary directory, which
 ``optimize`` and ``campaign`` write their outputs into. One
 ``sha256  path`` line is printed per output file and per run's stdout
@@ -47,6 +49,10 @@ COMMANDS = {
     "campaign": ["campaign", "{config}", "--approach", "{selector}",
                  "--iterations", "3", "--max-trials", "60", "--out", "{out}"],
 }
+# A campaign in which every iteration runs out of records.
+ALL_FAILED = ("src/apexopt/data/crystal_replay.yaml",
+              ["campaign", "{config}", "--iterations", "2", "--max-trials", "97",
+               "--out", "{out}"])
 DATASET = "src/apexopt/data/crystal_demo.jsonl"
 TARGET_RECORDS = (6, 7)  # the bundled dataset has 6 per set
 
@@ -61,6 +67,9 @@ def runs(root: Path, out: Path):
                     a.format(config=root / config, selector=selector, out=run_dir)
                     for a in template
                 ]
+    config, template = ALL_FAILED
+    run_dir = out / Path(config).stem / "campaign" / "all-failed"
+    yield run_dir, [a.format(config=root / config, out=run_dir) for a in template]
     for n_r in TARGET_RECORDS:
         run_dir = out / Path(DATASET).stem / "validate-dataset" / f"n-r-{n_r}"
         yield run_dir, ["validate-dataset", str(root / DATASET), "--n-r", str(n_r)]
