@@ -116,20 +116,14 @@ class CampaignSpec:
             raise ConfigError("jobs must be >= 1")
 
 
-@dataclass
-class _IterationOutcome:
-    iteration: int
-    failed: bool
-    error: str | None
-    reported: np.ndarray  # (budget,) int, -1 when undefined
-    reported_goal: np.ndarray  # (budget,) float, nan when undefined
-    alpha: np.ndarray
-    alpha_b1: np.ndarray
-    alpha_b2: np.ndarray
-    tested: np.ndarray  # (budget,) int
+def _run_iteration(spec: CampaignSpec, iteration: int) -> np.ndarray | None:
+    """One seeded run as a (6, budget) array, or None when it aborted or
+    stopped before the budget.
 
-
-def _run_iteration(spec: CampaignSpec, iteration: int) -> _IterationOutcome:
+    Rows per trial: the tested set, the reported set (-1 when undefined),
+    the reported set's median goal (nan when undefined), alpha, alpha_b1
+    and alpha_b2.
+    """
     seed = spec.base_seed + iteration
     space = spec.source.space
     executor = make_executor(spec.source, space, seed, spec.requirement.metric_names)
@@ -140,34 +134,22 @@ def _run_iteration(spec: CampaignSpec, iteration: int) -> _IterationOutcome:
         **{**spec.engine, "selector": spec.approach, "seed": seed},
     )
     result = Engine(cfg, executor).run()
-    budget = spec.max_trials
-    failed = result.aborted or len(result.trials) < budget
-    reported = np.full(budget, -1, dtype=int)
-    reported_goal = np.full(budget, np.nan)
-    alpha = np.zeros(budget)
-    alpha_b1 = np.zeros(budget)
-    alpha_b2 = np.zeros(budget)
-    tested = np.full(budget, -1, dtype=int)
-    for entry in result.trials[:budget]:
-        k = entry.n - 1
-        tested[k] = entry.set_index
-        alpha[k] = entry.alpha
-        alpha_b1[k] = entry.alpha_b1
-        alpha_b2[k] = entry.alpha_b2
-        if entry.reported_index is not None:
-            reported[k] = entry.reported_index
-            reported_goal[k] = entry.reported_goal_median
-    return _IterationOutcome(
-        iteration=iteration,
-        failed=failed,
-        error=result.error,
-        reported=reported,
-        reported_goal=reported_goal,
-        alpha=alpha,
-        alpha_b1=alpha_b1,
-        alpha_b2=alpha_b2,
-        tested=tested,
-    )
+    if result.aborted or len(result.trials) < spec.max_trials:
+        return None
+    return np.array(
+        [
+            (
+                e.set_index,
+                -1 if e.reported_index is None else e.reported_index,
+                np.nan if e.reported_index is None else e.reported_goal_median,
+                e.alpha,
+                e.alpha_b1,
+                e.alpha_b2,
+            )
+            for e in result.trials
+        ],
+        dtype=float,
+    ).T
 
 
 @dataclass
@@ -325,7 +307,6 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
     With ``jobs > 1`` the iterations run in worker processes whose BLAS is
     pinned to one thread; the calling process is left as it is.
     """
-    outcomes: list[_IterationOutcome]
     if spec.jobs > 1:
         with worker_pool(spec.jobs) as pool:
             outcomes = list(
@@ -334,34 +315,29 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
             )
     else:
         outcomes = [_run_iteration(spec, i) for i in range(spec.iterations)]
-    outcomes.sort(key=lambda o: o.iteration)
-    ok = [o for o in outcomes if not o.failed]
-    failed = tuple(o.iteration for o in outcomes if o.failed)
+    runs = [o for o in outcomes if o is not None]
+    failed = tuple(i for i, o in enumerate(outcomes) if o is None)
     budget = spec.max_trials
     n_sets = spec.source.space.n_sets
     canonical = canonicalize(spec.requirement)
     truth = ground_truth_optimal(spec.source, canonical)
     satisfying = ground_truth_satisfying(spec.source, canonical)
 
-    if ok:
-        reported = np.vstack([o.reported for o in ok])
-        tested = np.vstack([o.tested for o in ok])
-        alpha_matrix = np.vstack([o.alpha for o in ok])
-        mean_alpha = alpha_matrix.mean(axis=0)
-        mean_b1 = np.mean([o.alpha_b1 for o in ok], axis=0)
-        mean_b2 = np.mean([o.alpha_b2 for o in ok], axis=0)
-        goals = np.vstack([o.reported_goal for o in ok])
-    else:
-        reported = np.zeros((0, budget), dtype=int)
-        tested = np.zeros((0, budget), dtype=int)
-        alpha_matrix = np.zeros((0, budget))
-        mean_alpha = np.zeros(budget)
-        mean_b1 = np.zeros(budget)
-        mean_b2 = np.zeros(budget)
-        goals = np.zeros((0, budget))
+    # (M, 6, budget) with M >= 0; each row is copied out, so the result
+    # holds no view of the stack.
+    stack = np.array(runs, dtype=float).reshape(len(runs), 6, budget)
+    tested, reported, goals, alpha_matrix, alpha_b1, alpha_b2 = (
+        np.array(stack[:, row]) for row in range(6)
+    )
+    tested, reported = tested.astype(int), reported.astype(int)
 
-    if truth is not None and reported.shape[0]:
-        optimality = 100.0 * np.mean(reported == truth, axis=0)
+    def mean(matrix: np.ndarray) -> np.ndarray:
+        """Per-trial mean over the completed runs; zeros when there are none."""
+        return matrix.sum(axis=0) / max(len(runs), 1)
+
+    mean_alpha, mean_b1, mean_b2 = mean(alpha_matrix), mean(alpha_b1), mean(alpha_b2)
+    if truth is not None:
+        optimality = 100.0 * mean(reported == truth)
     else:
         optimality = np.zeros(budget)
     em1, em2, em3 = em_metrics(optimality, n_sets)
@@ -372,7 +348,7 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
     edges = np.linspace(lo, hi, spec.bins + 1)
     heatmap = np.zeros((budget, spec.bins), dtype=int)
     for k in range(budget):
-        col = goals[:, k] if goals.shape[0] else np.array([])
+        col = goals[:, k]
         col = col[~np.isnan(col)]
         if col.size:
             heatmap[k], _ = np.histogram(np.clip(col, lo, hi), bins=edges)
@@ -383,7 +359,7 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
     return CampaignResult(
         approach=normalize_selector(spec.approach),
         budget=budget,
-        iterations=len(ok),
+        iterations=len(runs),
         failures=len(failed),
         n_sets=n_sets,
         ground_truth_index=truth,
