@@ -575,7 +575,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         print(f"EM1 (trials to 99% optimality): {result.em1}")
         print(f"EM2 (optimality @ {result.n_sets}): {result.em2}")
         print(f"EM3 (optimality @ {2 * result.n_sets}): {result.em3}")
-        print(f"RMSD alpha vs optimality: {result.rmsd_alpha:.3f}")
+        rmsd = "None" if result.rmsd_alpha is None else f"{result.rmsd_alpha:.3f}"
+        print(f"RMSD alpha vs optimality: {rmsd}")
     else:
         print("constraint-finding mode (no set satisfies the constraints)")
     print(f"constraint discovery 99% crossing: {result.constraint_crossing}")

@@ -340,7 +340,9 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
         optimality = 100.0 * mean(reported == truth)
     else:
         optimality = np.zeros(budget)
-    em1, em2, em3 = em_metrics(optimality, n_sets)
+    # With no completed run the curves above are zeros, not measurements.
+    em1, em2, em3 = em_metrics(optimality, n_sets) if runs else (None, None, None)
+    scored = truth is not None and bool(runs)
 
     lo, hi = _goal_span(spec.source, canonical.goal_metric)
     if hi <= lo:
@@ -375,9 +377,9 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
         em1=em1,
         em2=em2,
         em3=em3,
-        rmsd_alpha=rmsd_alpha(mean_alpha, optimality) if truth is not None else None,
-        rmsd_alpha_b1=rmsd_alpha(mean_b1, optimality) if truth is not None else None,
-        rmsd_alpha_b2=rmsd_alpha(mean_b2, optimality) if truth is not None else None,
+        rmsd_alpha=rmsd_alpha(mean_alpha, optimality) if scored else None,
+        rmsd_alpha_b1=rmsd_alpha(mean_b1, optimality) if scored else None,
+        rmsd_alpha_b2=rmsd_alpha(mean_b2, optimality) if scored else None,
         reported_matrix=reported,
         reported_goal_matrix=goals,
         termination_timing=timing,
@@ -416,7 +418,7 @@ def campaign_summary(result: CampaignResult, spec: CampaignSpec) -> dict:
         "rmsd_alpha_b2": result.rmsd_alpha_b2,
         "constraint_crossing": result.constraint_crossing,
         "termination_timing": result.termination_timing,
-        "final_optimality": float(result.optimality[-1]) if result.budget else None,
+        "final_optimality": float(result.optimality[-1]) if result.iterations else None,
         "heatmap_edges": [float(e) for e in result.heatmap_edges],
     }
 

@@ -555,6 +555,21 @@ class TestCampaignCommand:
     def test_invalid_approach_is_config_error(self, config_file):
         assert main(["campaign", config_file(), "--approach", "magic"]) == EXIT_CONFIG
 
+    def test_no_completed_iteration_reports_no_metrics(self, tmp_path, capsys):
+        # The bundled dataset has 96 records, so a 97-trial run cannot finish.
+        cfg = resources.files("apexopt.data") / "crystal_replay.yaml"
+        out = tmp_path / "failed"
+        assert main(["campaign", str(cfg), "--iterations", "2", "--max-trials", "97",
+                     "--out", str(out)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert "iterations: 0 ok, 2 failed" in printed
+        assert "EM2 (optimality @ 16): None" in printed
+        assert "RMSD alpha vs optimality: None" in printed
+        summary = json.loads((out / "campaign_summary.json").read_text())
+        for key in ("em2", "em3", "rmsd_alpha", "rmsd_alpha_b1", "rmsd_alpha_b2",
+                    "final_optimality"):
+            assert summary[key] is None, key
+
 
 class TestValidateCommand:
     def test_full_coverage_report(self, bundled_dataset_path, capsys):

@@ -43,13 +43,18 @@ def _blas_threads() -> list[int]:
     return counts
 
 
-@pytest.fixture
-def planted_dataset(crystal_space):
+def _planted(space, records_per_set=6):
     # Feasible rows i >= 1; unique optimum at index 4 (energy 100).
     energy = [float(200 - 20 * i + 5 * j) if i == 0 else float(100 + 15 * (i - 1) + 5 * j)
               for i in range(4) for j in range(4)]
     prr = [55.0 if i == 0 else 80.0 for i in range(4) for j in range(4)]
-    return make_dataset(crystal_space, {"energy": energy, "prr": prr})
+    return make_dataset(space, {"energy": energy, "prr": prr},
+                        records_per_set=records_per_set)
+
+
+@pytest.fixture
+def planted_dataset(crystal_space):
+    return _planted(crystal_space)
 
 
 class TestGroundTruth:
@@ -193,13 +198,19 @@ class TestRunCampaign:
         np.testing.assert_array_equal(a.heatmap, b.heatmap)
         assert a.em1 == b.em1
 
-    def test_parallel_jobs_match_serial(self, planted_dataset,
-                                        energy_prr_requirement):
+    @pytest.mark.parametrize("records_per_set, failures", [(6, 0), (1, 4)],
+                             ids=["all-complete", "all-failed"])
+    def test_parallel_jobs_match_serial(self, crystal_space, energy_prr_requirement,
+                                        records_per_set, failures):
+        # 24 trials fit in 96 records but not in 16, so every iteration
+        # completes in the first case and fails in the second.
+        source = _planted(crystal_space, records_per_set)
+
         def build(jobs):
             return CampaignSpec(
                 requirement=energy_prr_requirement,
                 approach="ger",
-                source=planted_dataset,
+                source=source,
                 iterations=4,
                 max_trials=24,
                 base_seed=1,
@@ -208,8 +219,15 @@ class TestRunCampaign:
 
         serial = run_campaign(build(1))
         parallel = run_campaign(build(2))
-        np.testing.assert_array_equal(serial.optimality, parallel.optimality)
-        np.testing.assert_allclose(serial.mean_alpha, parallel.mean_alpha)
+        assert serial.failures == failures
+        assert serial.failed_iterations == parallel.failed_iterations
+        arrays = [f.name for f in dataclasses.fields(serial)
+                  if isinstance(getattr(serial, f.name), np.ndarray)]
+        assert len(arrays) == 9
+        for name in arrays:
+            a, b = getattr(serial, name), getattr(parallel, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
 
     def test_pool_workers_run_one_blas_thread(self):
         if not evalharness.bundled_openblas():
@@ -250,6 +268,15 @@ class TestRunCampaign:
         result = run_campaign(spec)
         assert result.failures == 3
         assert result.iterations == 0
+        # No completed iteration: the summary metrics are undefined, not 0.
+        assert (result.em1, result.em2, result.em3) == (None, None, None)
+        assert result.rmsd_alpha is None
+        assert result.rmsd_alpha_b1 is None and result.rmsd_alpha_b2 is None
+        summary = evalharness.campaign_summary(result, spec)
+        assert summary["final_optimality"] is None
+        assert summary["em2"] is None and summary["rmsd_alpha"] is None
+        assert result.reported_matrix.shape == (0, 30)
+        assert result.reported_matrix.dtype.kind == "i"
 
     def test_heatmap_counts_bounded_by_iterations(self, planted_dataset,
                                                   energy_prr_requirement):
