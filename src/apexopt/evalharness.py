@@ -102,6 +102,8 @@ class CampaignSpec:
             )
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError("base_seed must be >= 0")
         normalize_selector(self.approach)
         if self.max_trials is None:
             if isinstance(self.source, TraceDataset):

@@ -580,6 +580,8 @@ def validate_dataset(path: Union[str, Path], n_r: int = 6) -> DatasetReport:
     Record-level findings come in file order and name the JSONL line or
     CSV row of their record.
     """
+    if n_r < 1:
+        raise ConfigError("n_r (target records per set) must be >= 1")
     dataset = load_dataset(path)
     counts = dataset.counts()
     shortfalls = [(i, c) for i, c in enumerate(counts) if c < n_r]

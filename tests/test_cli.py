@@ -555,6 +555,22 @@ class TestCampaignCommand:
     def test_invalid_approach_is_config_error(self, config_file):
         assert main(["campaign", config_file(), "--approach", "magic"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flags, campaign", [
+        (["--seed", "-1"], {}),
+        ([], {"base_seed": -1}),
+    ], ids=["seed-flag", "base-seed-key"])
+    def test_negative_base_seed_is_config_error(self, tmp_path, capsys, flags,
+                                                 campaign):
+        def mutate(cfg):
+            cfg["campaign"].update(campaign)
+            cfg["executor"]["replay"]["path"] = str(
+                resources.files("apexopt.data") / "crystal_demo.jsonl")
+
+        path = _bundled_variant(tmp_path, "crystal_replay.yaml", mutate)
+        assert main(["campaign", path, *flags, "--iterations", "1",
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "base_seed must be >= 0" in capsys.readouterr().err
+
     def test_no_completed_iteration_reports_no_metrics(self, tmp_path, capsys):
         # The bundled dataset has 96 records, so a 97-trial run cannot finish.
         cfg = resources.files("apexopt.data") / "crystal_replay.yaml"
@@ -576,6 +592,13 @@ class TestValidateCommand:
         assert main(["validate-dataset", bundled_dataset_path]) == EXIT_OK
         out = capsys.readouterr().out
         assert "96 records, full coverage" in out
+
+    @pytest.mark.parametrize("n_r", ["0", "-3"])
+    def test_target_below_one_is_config_error(self, bundled_dataset_path, capsys,
+                                              n_r):
+        assert main(["validate-dataset", bundled_dataset_path, "--n-r", n_r]) \
+            == EXIT_CONFIG
+        assert "must be >= 1" in capsys.readouterr().err
 
     def test_unreadable_file_is_config_error(self, tmp_path):
         assert main(["validate-dataset", str(tmp_path / "missing.jsonl")]) \
