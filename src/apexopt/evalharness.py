@@ -122,9 +122,9 @@ def _run_iteration(spec: CampaignSpec, iteration: int) -> np.ndarray | None:
     """One seeded run as a (6, budget) array, or None when it aborted or
     stopped before the budget.
 
-    Rows per trial: the tested set, the reported set (-1 when undefined),
-    the reported set's median goal (nan when undefined), alpha, alpha_b1
-    and alpha_b2.
+    Rows, one column per trial: the tested set, the reported set (-1 when
+    undefined), the reported set's median goal (nan when undefined),
+    alpha, alpha_b1 and alpha_b2.
     """
     seed = spec.base_seed + iteration
     space = spec.source.space

@@ -198,36 +198,34 @@ class TestRunCampaign:
         np.testing.assert_array_equal(a.heatmap, b.heatmap)
         assert a.em1 == b.em1
 
-    @pytest.mark.parametrize("records_per_set, failures", [(6, 0), (1, 4)],
-                             ids=["all-complete", "all-failed"])
-    def test_parallel_jobs_match_serial(self, crystal_space, energy_prr_requirement,
-                                        records_per_set, failures):
+    def test_parallel_jobs_match_serial(self, crystal_space, energy_prr_requirement):
         # 24 trials fit in 96 records but not in 16, so every iteration
-        # completes in the first case and fails in the second.
-        source = _planted(crystal_space, records_per_set)
+        # completes in the first campaign and fails in the second.
+        for records_per_set, failures in ((6, 0), (1, 4)):
+            source = _planted(crystal_space, records_per_set)
 
-        def build(jobs):
-            return CampaignSpec(
-                requirement=energy_prr_requirement,
-                approach="ger",
-                source=source,
-                iterations=4,
-                max_trials=24,
-                base_seed=1,
-                jobs=jobs,
-            )
+            def build(jobs):
+                return CampaignSpec(
+                    requirement=energy_prr_requirement,
+                    approach="ger",
+                    source=source,
+                    iterations=4,
+                    max_trials=24,
+                    base_seed=1,
+                    jobs=jobs,
+                )
 
-        serial = run_campaign(build(1))
-        parallel = run_campaign(build(2))
-        assert serial.failures == failures
-        assert serial.failed_iterations == parallel.failed_iterations
-        arrays = [f.name for f in dataclasses.fields(serial)
-                  if isinstance(getattr(serial, f.name), np.ndarray)]
-        assert len(arrays) == 9
-        for name in arrays:
-            a, b = getattr(serial, name), getattr(parallel, name)
-            assert a.dtype == b.dtype, name
-            np.testing.assert_array_equal(a, b, err_msg=name)
+            serial = run_campaign(build(1))
+            parallel = run_campaign(build(2))
+            assert serial.failures == failures
+            assert serial.failed_iterations == parallel.failed_iterations
+            arrays = [f.name for f in dataclasses.fields(serial)
+                      if isinstance(getattr(serial, f.name), np.ndarray)]
+            assert len(arrays) == 9
+            for name in arrays:
+                a, b = getattr(serial, name), getattr(parallel, name)
+                assert a.dtype == b.dtype, name
+                np.testing.assert_array_equal(a, b, err_msg=name)
 
     def test_pool_workers_run_one_blas_thread(self):
         if not evalharness.bundled_openblas():
