@@ -49,10 +49,7 @@ COMMANDS = {
     "campaign": ["campaign", "{config}", "--approach", "{selector}",
                  "--iterations", "3", "--max-trials", "60", "--out", "{out}"],
 }
-# A campaign in which every iteration runs out of records.
-ALL_FAILED = ("src/apexopt/data/crystal_replay.yaml",
-              ["campaign", "{config}", "--iterations", "2", "--max-trials", "97",
-               "--out", "{out}"])
+ALL_FAILED = "src/apexopt/data/crystal_replay.yaml"  # 96 records, 97 trials
 DATASET = "src/apexopt/data/crystal_demo.jsonl"
 TARGET_RECORDS = (6, 7)  # the bundled dataset has 6 per set
 
@@ -67,9 +64,9 @@ def runs(root: Path, out: Path):
                     a.format(config=root / config, selector=selector, out=run_dir)
                     for a in template
                 ]
-    config, template = ALL_FAILED
-    run_dir = out / Path(config).stem / "campaign" / "all-failed"
-    yield run_dir, [a.format(config=root / config, out=run_dir) for a in template]
+    run_dir = out / Path(ALL_FAILED).stem / "campaign" / "all-failed"
+    yield run_dir, ["campaign", str(root / ALL_FAILED), "--iterations", "2",
+                    "--max-trials", "97", "--out", str(run_dir)]
     for n_r in TARGET_RECORDS:
         run_dir = out / Path(DATASET).stem / "validate-dataset" / f"n-r-{n_r}"
         yield run_dir, ["validate-dataset", str(root / DATASET), "--n-r", str(n_r)]
