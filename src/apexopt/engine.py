@@ -270,10 +270,10 @@ class AnalysisState:
 
     The single owner of the run's observations: each set's raw readings
     per metric kept sorted (so counts and medians are read off directly),
-    and the raw readings and set indices in trial order, which are the
-    trial log and the GP targets.
-    Canonical values are ``sign * raw`` at the point of use; negation is
-    exact, so canonical medians equal medians of canonical values.
+    and the set indices and canonical GP targets in trial order, in
+    buffers that grow by doubling. Canonical values are ``sign * raw``;
+    negation is exact, so canonical medians equal medians of canonical
+    values.
 
     Each ``update`` sets what the selectors read as attributes of the
     state: the per-set ``counts`` and canonical ``goal_medians``, the GP
@@ -283,8 +283,9 @@ class AnalysisState:
     trial's logged ``Confidence`` record.
 
     A trial changes only its own set, so each update recomputes that set's
-    count, median and feasibility flag and nothing else per set; the
-    kernel rows of the sets tried are kept for the whole run.
+    count, target sums, median and feasibility flag and nothing else per
+    set, and folds the trial into the running target extrema; the kernel
+    rows of the sets tried are kept for the whole run.
     """
 
     def __init__(
@@ -298,13 +299,25 @@ class AnalysisState:
         self.canonical = canonicalize(requirement)
         self.delta = delta
         self.kernel = kernel
-        metrics = self.canonical.metric_names
+        canon = self.canonical
+        self._metrics = canon.metric_names
         self._sorted: dict[int, dict[str, list[float]]] = {}
-        self._columns: dict[str, list[float]] = {m: [] for m in metrics}
-        self._set_indices: list[int] = []
-        # Per set: observed at least once / constraint medians violate.
-        self._observed = np.zeros(space.n_sets, dtype=bool)
+        # GP target name -> (metric, sign).
+        self._target_defs = {"goal": (canon.goal_metric, canon.goal_sign)}
+        for c in canon.constraints:
+            self._target_defs[f"c:{c.metric}"] = (c.metric, c.sign)
+        # Trial order; the first n entries are the observations.
+        self._n = 0
+        self._trial_sets = np.empty(64, dtype=np.intp)
+        self._targets = {key: np.empty(64) for key in self._target_defs}
+        # Per set: trial count, target sums in trial order, and whether
+        # the constraint medians violate.
+        self._set_counts = np.zeros(space.n_sets, dtype=np.intp)
+        self._set_sums = {key: np.zeros(space.n_sets) for key in self._target_defs}
         self._violating = np.zeros(space.n_sets, dtype=bool)
+        # Running extrema of the targets.
+        self._target_min = {key: math.inf for key in self._target_defs}
+        self._goal_max = -math.inf
         self._rows = surrogate.KernelRows(space, kernel)
         self.trace = confidence.SuboptimalityTrace()
         self.counts: dict[int, int] = {}
@@ -325,7 +338,7 @@ class AnalysisState:
     @property
     def n(self) -> int:
         """The number of observations so far."""
-        return len(self._set_indices)
+        return self._n
 
     @property
     def f_best(self) -> float:
@@ -347,7 +360,7 @@ class AnalysisState:
             raise ConfigError(
                 f"trial_index {obs.trial_index} out of order, expected {self.n + 1}"
             )
-        missing = [m for m in self._columns if m not in obs.metrics]
+        missing = [m for m in self._metrics if m not in obs.metrics]
         if missing:
             raise ConfigError(
                 f"observation at trial {obs.trial_index} missing metrics {missing}"
@@ -358,7 +371,7 @@ class AnalysisState:
                 f"observation at trial {obs.trial_index}: set_index {idx!r} is "
                 f"not one of the sets 0..{self.space.n_sets - 1}"
             )
-        for m in self._columns:
+        for m in self._metrics:
             value = obs.metrics[m]
             if not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ConfigError(
@@ -366,33 +379,58 @@ class AnalysisState:
                     f"{value!r}, not a finite number"
                 )
         canon = self.canonical
-        # Fit and predict on the new trial-order lists before recording
-        # anything, so that a FitError leaves the state as it was.
-        columns = {m: [*column, obs.metrics[m]] for m, column in self._columns.items()}
-        set_indices = [*self._set_indices, idx]
-        goal_values = canon.goal_sign * np.asarray(columns[canon.goal_metric])
-        targets = {"goal": goal_values}
-        for c in canon.constraints:
-            targets[f"c:{c.metric}"] = c.sign * np.asarray(columns[c.metric])
+        # Fit and predict before recording anything, so that a FitError
+        # leaves the state as it was: the trial is written one past the
+        # first n buffer entries, and the per-set totals are new arrays.
+        n = self._n
+        values = {
+            key: sign * float(obs.metrics[metric])
+            for key, (metric, sign) in self._target_defs.items()
+        }
+        if n == len(self._trial_sets):
+            self._trial_sets = _doubled(self._trial_sets)
+            self._targets = {key: _doubled(b) for key, b in self._targets.items()}
+        self._trial_sets[n] = idx
+        for key, value in values.items():
+            self._targets[key][n] = value
+        set_counts = self._set_counts.copy()
+        set_counts[idx] += 1
+        set_sums = {}
+        for key, value in values.items():
+            set_sums[key] = self._set_sums[key].copy()
+            set_sums[key][idx] += value
+        sets = np.flatnonzero(set_counts)
+        totals = surrogate.SetTotals(
+            sets, set_counts[sets], {key: s[sets] for key, s in set_sums.items()}
+        )
         models = surrogate.fit_many_xy(
-            self.space, set_indices, targets, self.kernel, rows=self._rows
+            self.space,
+            self._trial_sets[: n + 1],
+            {key: b[: n + 1] for key, b in self._targets.items()},
+            self.kernel,
+            rows=self._rows,
+            totals=totals,
         )
         goal_mean, goal_var = models["goal"].predict_all()
 
-        self._columns = columns
-        self._set_indices = set_indices
+        self._n = n + 1
+        self._set_counts = set_counts
+        self._set_sums = set_sums
+        self._target_min = {
+            key: min(low, values[key]) for key, low in self._target_min.items()
+        }
+        self._goal_max = max(self._goal_max, values["goal"])
         self.constraint_models = {
             c.metric: models[f"c:{c.metric}"] for c in canon.constraints
         }
         self.goal_mean = goal_mean
         self.goal_std = np.sqrt(goal_var)
-        readings = self._sorted.setdefault(idx, {m: [] for m in columns})
+        readings = self._sorted.setdefault(idx, {m: [] for m in self._metrics})
         for metric, sorted_values in readings.items():
             bisect.insort(sorted_values, obs.metrics[metric])
         goal_sorted = readings[canon.goal_metric]
         self.counts[idx] = len(goal_sorted)
         self.goal_medians[idx] = canon.goal_sign * sorted_median(goal_sorted)
-        self._observed[idx] = True
         self._violating[idx] = not all(
             c.sign * sorted_median(readings[c.metric]) <= c.bound
             for c in canon.constraints
@@ -418,7 +456,7 @@ class AnalysisState:
         tau = self.trace.record(tau)
         alpha, theta = confidence.optimality_alpha(self.trace)
 
-        self.goal_range = float(goal_values.max() - goal_values.min())
+        self.goal_range = self._goal_max - self._target_min["goal"]
         if best is not None and prev_index is not None:
             a_b1 = confidence.alpha_b1(best_value, prev_value, self.goal_range)
             a_b2 = confidence.alpha_b2(a_b1, self.space, best, prev_index)
@@ -427,7 +465,7 @@ class AnalysisState:
             a_b2 = 0.0
 
         self.f_c_plus = {
-            c.metric: max(float(targets[f"c:{c.metric}"].min()), c.bound)
+            c.metric: max(self._target_min[f"c:{c.metric}"], c.bound)
             for c in canon.constraints
         }
         self.last = Confidence(
@@ -458,7 +496,7 @@ class AnalysisState:
         vio = self._violating
         return (
             tuple(np.flatnonzero(~vio).tolist()),
-            tuple(np.flatnonzero(self._observed & ~vio).tolist()),
+            tuple(np.flatnonzero((self._set_counts > 0) & ~vio).tolist()),
             tuple(np.flatnonzero(vio).tolist()),
         )
 
@@ -482,6 +520,13 @@ class AnalysisState:
             for c in self.canonical.constraints
         )
         return -goal - (self.goal_range if violated else 0.0)
+
+
+def _doubled(buffer: np.ndarray) -> np.ndarray:
+    """A buffer twice as long, starting with ``buffer``'s entries."""
+    grown = np.empty(2 * len(buffer), dtype=buffer.dtype)
+    grown[: len(buffer)] = buffer
+    return grown
 
 
 @dataclass

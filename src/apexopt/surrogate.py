@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
@@ -240,6 +240,20 @@ def _standardize(targets: np.ndarray) -> tuple[float, float]:
     return mean, std
 
 
+@dataclass(frozen=True)
+class SetTotals:
+    """A fit's trials grouped by set, kept by a caller that adds trials
+    one at a time: the distinct sets tried (ascending, as ``np.unique``
+    gives them), each set's trial count and, per metric, each set's sum of
+    targets. A sum accumulated in trial order from 0.0 is the sum
+    ``np.bincount`` takes, bit for bit.
+    """
+
+    sets: np.ndarray
+    counts: np.ndarray
+    sums: Mapping[str, np.ndarray]
+
+
 def fit_xy(
     space: ParameterSpace,
     set_indices: Sequence[int],
@@ -258,6 +272,7 @@ def fit_many_xy(
     values_by_metric: dict[str, Sequence[float]],
     cfg: KernelConfig = KernelConfig(),
     rows: KernelRows | None = None,
+    totals: SetTotals | None = None,
 ) -> dict[str, GPModel]:
     """Fit one GP per metric over shared inputs, factorizing K only once.
 
@@ -265,6 +280,8 @@ def fit_many_xy(
     and its noise term live on the shared normalized-input / standardized-
     output scale for every metric. ``rows`` is the run's kernel-row cache
     (built for this space and ``cfg``); a fresh one is made if absent.
+    ``totals`` groups these same trials by set; without it they are
+    grouped here with ``np.unique`` and ``np.bincount``.
     """
     if rows is None:
         rows = KernelRows(space, cfg)
@@ -273,7 +290,10 @@ def fit_many_xy(
     idx = np.asarray(set_indices, dtype=int)
     if idx.size == 0:
         raise ConfigError("cannot fit a GP to zero observations")
-    sets, inverse, counts = np.unique(idx, return_inverse=True, return_counts=True)
+    if totals is None:
+        sets, inverse, counts = np.unique(idx, return_inverse=True, return_counts=True)
+    else:
+        sets, counts = totals.sets, totals.counts
     factor = _factorize(cfg, rows.block(sets, sets), counts)
     models = {}
     for metric, values in values_by_metric.items():
@@ -281,7 +301,8 @@ def fit_many_xy(
         if y.shape != idx.shape:
             raise ConfigError(f"metric {metric!r}: wrong number of values")
         y_mean, y_std = _standardize(y)
-        means = np.bincount(inverse, weights=y) / counts
+        sums = np.bincount(inverse, weights=y) if totals is None else totals.sums[metric]
+        means = sums / counts
         models[metric] = GPModel(
             space, sets, means, cfg, factor, y_mean, y_std, rows
         )
