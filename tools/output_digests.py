@@ -5,9 +5,11 @@ for each of the seven selectors on the two bundled configs, the two
 perfbench configs and ``tools/every_key.yaml`` (which sets the config keys
 the others leave at their defaults, and runs its campaigns on two
 workers), one ``campaign --max-trials 97`` of the bundled replay config
-(its dataset has 96 records, so no iteration completes), plus
+(its dataset has 96 records, so no iteration completes), one campaign of
+``tools/constraint_finding.yaml`` (the bundled dataset under a PRR bound
+that no set meets, so there is no ground-truth optimum), plus
 ``validate-dataset`` of the bundled dataset at ``--n-r 6`` and
-``--n-r 7``: 73 runs. Each run is a fresh
+``--n-r 7``: 74 runs. Each run is a fresh
 ``python -m apexopt.cli`` process with its own temporary directory, which
 ``optimize`` and ``campaign`` write their outputs into. One
 ``sha256  path`` line is printed per output file and per run's stdout
@@ -20,7 +22,8 @@ equal outputs exactly when they print the same lines:
 
 ``--root`` names the checkout whose ``src/`` and configs are run; it
 defaults to the one holding this script. A checkout older than
-``tools/every_key.yaml`` needs a copy of that file.
+``tools/every_key.yaml`` or ``tools/constraint_finding.yaml`` needs a
+copy of that file.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ COMMANDS = {
                  "--iterations", "3", "--max-trials", "60", "--out", "{out}"],
 }
 ALL_FAILED = "src/apexopt/data/crystal_replay.yaml"  # 96 records, 97 trials
+CONSTRAINT_FINDING = "tools/constraint_finding.yaml"
 DATASET = "src/apexopt/data/crystal_demo.jsonl"
 TARGET_RECORDS = (6, 7)  # the bundled dataset has 6 per set
 
@@ -67,6 +71,9 @@ def runs(root: Path, out: Path):
     run_dir = out / Path(ALL_FAILED).stem / "campaign" / "all-failed"
     yield run_dir, ["campaign", str(root / ALL_FAILED), "--iterations", "2",
                     "--max-trials", "97", "--out", str(run_dir)]
+    run_dir = out / Path(CONSTRAINT_FINDING).stem / "campaign" / "apex-lcb"
+    yield run_dir, ["campaign", str(root / CONSTRAINT_FINDING), "--iterations", "2",
+                    "--max-trials", "40", "--out", str(run_dir)]
     for n_r in TARGET_RECORDS:
         run_dir = out / Path(DATASET).stem / "validate-dataset" / f"n-r-{n_r}"
         yield run_dir, ["validate-dataset", str(root / DATASET), "--n-r", str(n_r)]
