@@ -184,6 +184,12 @@ class CampaignResult:
     termination_timing: dict = field(default_factory=dict)
     failed_iterations: tuple[int, ...] = ()
 
+    @property
+    def scored(self) -> bool:
+        """Whether ``optimality`` is a measurement: some iteration
+        completed and a ground-truth optimum exists."""
+        return self.iterations > 0 and self.ground_truth_index is not None
+
 
 def em_metrics(
     optimality: np.ndarray, n_sets: int
@@ -378,9 +384,10 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
         optimality = 100.0 * mean(reported == truth)
     else:
         optimality = np.zeros(budget)
-    # With no completed run the curves above are zeros, not measurements.
-    em1, em2, em3 = em_metrics(optimality, n_sets) if runs else (None, None, None)
+    # With no completed run the curves above are zeros, and without a
+    # ground-truth optimum optimality is undefined: not measurements.
     scored = truth is not None and bool(runs)
+    em1, em2, em3 = em_metrics(optimality, n_sets) if scored else (None, None, None)
 
     lo, hi = _goal_span(spec.source, canonical.goal_metric)
     if hi <= lo:
@@ -456,7 +463,7 @@ def campaign_summary(result: CampaignResult, spec: CampaignSpec) -> dict:
         "rmsd_alpha_b2": result.rmsd_alpha_b2,
         "constraint_crossing": result.constraint_crossing,
         "termination_timing": result.termination_timing,
-        "final_optimality": float(result.optimality[-1]) if result.iterations else None,
+        "final_optimality": float(result.optimality[-1]) if result.scored else None,
         "heatmap_edges": [float(e) for e in result.heatmap_edges],
     }
 

@@ -276,6 +276,31 @@ class TestRunCampaign:
         assert result.reported_matrix.shape == (0, 30)
         assert result.reported_matrix.dtype.kind == "i"
 
+    def test_constraint_finding_reports_no_optimality(self, bundled_dataset):
+        # No set's median PRR reaches 99.5 in the bundled dataset, so there
+        # is no ground-truth optimum and optimality is undefined.
+        requirement = Requirement(
+            goal=MetricSpec("energy", "minimize", "J"),
+            constraints=(ConstraintSpec("prr", ">=", 99.5, 0.5),),
+        )
+        spec = CampaignSpec(
+            requirement=requirement,
+            approach="apex-lcb",
+            source=bundled_dataset,
+            iterations=2,
+            max_trials=40,
+            base_seed=0,
+        )
+        result = run_campaign(spec)
+        assert result.iterations == 2 and result.failures == 0
+        assert result.ground_truth_index is None
+        assert (result.em1, result.em2, result.em3) == (None, None, None)
+        assert result.rmsd_alpha is None
+        summary = evalharness.campaign_summary(result, spec)
+        assert summary["mode"] == "constraint-finding"
+        assert summary["final_optimality"] is None
+        assert summary["em2"] is None and summary["em3"] is None
+
     def test_heatmap_counts_bounded_by_iterations(self, planted_dataset,
                                                   energy_prr_requirement):
         spec = CampaignSpec(
