@@ -469,9 +469,22 @@ def campaign_summary(result: CampaignResult, spec: CampaignSpec) -> dict:
 
 
 def write_campaign_csv(result: CampaignResult, path: Union[str, Path]) -> None:
-    """One row per trial: curves plus the heatmap bins."""
+    """One row per trial: curves plus the heatmap bins.
+
+    A curve cell is empty where the curve is not a measurement: every
+    curve when no iteration completed, optimality also when there is no
+    ground-truth optimum.
+    """
     path = Path(path)
     bins = result.heatmap.shape[1]
+    measured = result.iterations > 0
+    curves = (
+        (result.optimality, result.scored),
+        (result.mean_alpha, measured),
+        (result.mean_alpha_b1, measured),
+        (result.mean_alpha_b2, measured),
+        (result.constraint_discovery, measured),
+    )
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -481,14 +494,8 @@ def write_campaign_csv(result: CampaignResult, path: Union[str, Path]) -> None:
         )
         for k in range(result.budget):
             writer.writerow(
-                [
-                    k + 1,
-                    f"{result.optimality[k]:.6f}",
-                    f"{result.mean_alpha[k]:.6f}",
-                    f"{result.mean_alpha_b1[k]:.6f}",
-                    f"{result.mean_alpha_b2[k]:.6f}",
-                    f"{result.constraint_discovery[k]:.6f}",
-                ]
+                [k + 1]
+                + [f"{curve[k]:.6f}" if defined else "" for curve, defined in curves]
                 + [int(v) for v in result.heatmap[k]]
             )
 

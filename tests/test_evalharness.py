@@ -1,5 +1,6 @@
 """Campaign harness: ground truth, optimality curves, EM metrics, RMSD."""
 
+import csv
 import dataclasses
 from importlib import resources
 
@@ -275,6 +276,34 @@ class TestRunCampaign:
         assert summary["em2"] is None and summary["rmsd_alpha"] is None
         assert result.reported_matrix.shape == (0, 30)
         assert result.reported_matrix.dtype.kind == "i"
+
+    def test_csv_leaves_unmeasured_curves_empty(self, crystal_space, bundled_dataset,
+                                                energy_prr_requirement, tmp_path):
+        small = make_dataset(crystal_space, {"energy": [100.0 + i for i in range(16)],
+                                             "prr": [90.0] * 16}, records_per_set=1)
+        infeasible = dataclasses.replace(
+            energy_prr_requirement,
+            constraints=(ConstraintSpec("prr", ">=", 99.5, 0.5),),
+        )
+        cases = (
+            # No iteration completes: no curve is a measurement.
+            (small, energy_prr_requirement, 30, [""] * 5),
+            # Constraint-finding mode: only optimality is undefined.
+            (bundled_dataset, infeasible, 40, ["", "x", "x", "x", "x"]),
+        )
+        for source, requirement, trials, expected in cases:
+            spec = CampaignSpec(requirement=requirement, approach="ger",
+                                source=source, iterations=2, max_trials=trials)
+            path = tmp_path / "campaign_trials.csv"
+            evalharness.write_campaign_csv(run_campaign(spec), path)
+            with path.open(newline="") as fh:
+                header, *rows = list(csv.reader(fh))
+            assert header[1:6] == ["optimality", "mean_alpha", "mean_alpha_b1",
+                                   "mean_alpha_b2", "constraint_discovery"]
+            assert [row[0] for row in rows] == [str(k) for k in range(1, trials + 1)]
+            for row in rows:
+                assert ["x" if cell else "" for cell in row[1:6]] == expected
+                assert all(int(cell) >= 0 for cell in row[6:])
 
     def test_constraint_finding_reports_no_optimality(self, bundled_dataset):
         # No set's median PRR reaches 99.5 in the bundled dataset, so there
