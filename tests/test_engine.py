@@ -4,13 +4,18 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from apexopt import surrogate
 from apexopt.cli import parse_config
 from apexopt.domain import (
     ConfigError,
     ConstraintSpec,
     MetricSpec,
     Observation,
+    ParameterDef,
+    ParameterSpace,
     Requirement,
     TerminationCriteria,
     UnsatisfiableTerminationError,
@@ -146,6 +151,70 @@ class TestFilterSatisfying:
             assert all(type(i) is int for i in state.d_n)
             moved |= set(vio)
         assert moved and state.d_satisfying
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestIncrementalTotals:
+    """The per-set totals ``AnalysisState`` keeps from trial to trial equal
+    regrouping the whole trace with ``np.unique`` and ``np.bincount``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(0, 15),
+                  st.floats(-1e4, 1e4, allow_nan=False),
+                  st.floats(-1e4, 1e4, allow_nan=False)),
+        min_size=1, max_size=100,
+    ))
+    # Past the buffers' first 64 entries, so they grow once.
+    @example([(i % 16, float(i), float(100 - i)) for i in range(70)])
+    def test_fit_inputs_equal_the_regrouped_trace(self, trace):
+        space = ParameterSpace([ParameterDef("a", (0.0, 1.0, 2.0, 3.0)),
+                                ParameterDef("b", (0.0, 1.0, 2.0, 3.0))])
+        req = Requirement(goal=MetricSpec("energy", "minimize"),
+                          constraints=(ConstraintSpec("prr", ">=", 65.0, 0.5),))
+        real = surrogate.fit_many_xy
+        sets_so_far: list[int] = []
+        targets_so_far: dict[str, list[float]] = {"goal": [], "c:prr": []}
+
+        def checked(space, set_indices, values_by_metric, cfg, rows=None,
+                    totals=None):
+            assert list(set_indices) == sets_so_far
+            idx = np.array(sets_so_far)
+            sets, inverse, counts = np.unique(idx, return_inverse=True,
+                                              return_counts=True)
+            assert np.array_equal(totals.sets, sets)
+            assert np.array_equal(totals.counts, counts)
+            for metric, values in values_by_metric.items():
+                y = np.array(targets_so_far[metric])
+                assert _bits(values) == _bits(y)
+                assert _bits(totals.sums[metric] / totals.counts) == _bits(
+                    np.bincount(inverse, weights=y) / counts)
+                assert _bits(surrogate._standardize(values)) == _bits(
+                    surrogate._standardize(y))
+            models = real(space, set_indices, values_by_metric, cfg, rows=rows,
+                          totals=totals)
+            oracle = real(space, sets_so_far, targets_so_far, cfg)
+            for metric, model in models.items():
+                assert np.array_equal(model.train_sets, oracle[metric].train_sets)
+                assert _bits(model.set_means) == _bits(oracle[metric].set_means)
+                assert _bits([model.y_mean, model.y_std]) == _bits(
+                    [oracle[metric].y_mean, oracle[metric].y_std])
+            return models
+
+        state = AnalysisState(space, req, 0.1, KernelConfig())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(surrogate, "fit_many_xy", checked)
+            for k, (set_index, energy, prr) in enumerate(trace, start=1):
+                sets_so_far.append(set_index)
+                targets_so_far["goal"].append(energy)
+                targets_so_far["c:prr"].append(-prr)
+                state.update(Observation(k, set_index, {"energy": energy, "prr": prr}))
+        goals = targets_so_far["goal"]
+        assert state.goal_range == max(goals) - min(goals)
+        assert state.f_c_plus == {"prr": max(min(targets_so_far["c:prr"]), -65.0)}
 
 
 class TestAnalysisStateUpdate:

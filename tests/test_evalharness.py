@@ -15,6 +15,8 @@ from apexopt.domain import (
     ConfigError,
     ConstraintSpec,
     MetricSpec,
+    ParameterDef,
+    ParameterSpace,
     Requirement,
 )
 from apexopt.evalharness import (
@@ -42,6 +44,39 @@ def _blas_threads() -> list[int]:
             getter.restype = ctypes.c_int
             counts.append(getter())
     return counts
+
+
+def _set_blas_threads(counts: list[int]) -> None:
+    """Set each bundled OpenBLAS's thread count, in ``_blas_threads`` order."""
+    libs = [(lib, suffix) for lib, suffix in evalharness.bundled_openblas()
+            if hasattr(lib, f"scipy_openblas_get_num_threads{suffix}")]
+    for (lib, suffix), count in zip(libs, counts, strict=True):
+        getattr(lib, f"scipy_openblas_set_num_threads{suffix}")(count)
+
+
+@pytest.fixture
+def caller_blas_threads():
+    """The bundled OpenBLAS copies set to two threads, as a caller's may
+    be; each copy's own count is put back afterwards."""
+    original = _blas_threads()
+    if not original:
+        pytest.skip("NumPy/SciPy do not bundle OpenBLAS here")
+    _set_blas_threads([2] * len(original))
+    yield _blas_threads()
+    _set_blas_threads(original)
+
+
+def _wide_source() -> SyntheticSpec:
+    """The 8x8x4 (256-set) quadratic landscape of the wide benchmark."""
+    space = ParameterSpace([ParameterDef("x", tuple(float(i) for i in range(8))),
+                            ParameterDef("y", tuple(float(i) for i in range(8))),
+                            ParameterDef("w", (0.0, 1.0, 2.0, 3.0))])
+    z = space.normalized_all()
+    cost = (100 + 60 * (z[:, 0] - 0.6) ** 2 + 40 * (z[:, 1] - 0.3) ** 2
+            + 20 * (z[:, 2] - 0.4) ** 2)
+    quality = 100 * z[:, 0] + 10 * z[:, 2]
+    return SyntheticSpec(space, {"cost": cost, "quality": quality},
+                         {"cost": 2.0, "quality": 4.0})
 
 
 def _planted(space, records_per_set=6):
@@ -234,6 +269,59 @@ class TestRunCampaign:
         with evalharness.worker_pool(2) as pool:
             counts = [pool.submit(_blas_threads).result() for _ in range(4)]
         assert all(c and set(c) == {1} for c in counts)
+
+    def test_serial_campaign_runs_one_blas_thread(self, caller_blas_threads,
+                                                  planted_dataset,
+                                                  energy_prr_requirement,
+                                                  monkeypatch):
+        real = evalharness._run_iteration
+        seen = []
+
+        def spy(spec, iteration):
+            seen.append(_blas_threads())
+            return real(spec, iteration)
+
+        monkeypatch.setattr(evalharness, "_run_iteration", spy)
+        run_campaign(CampaignSpec(requirement=energy_prr_requirement,
+                                  approach="apex-lcb", source=planted_dataset,
+                                  iterations=2, max_trials=12))
+        assert len(seen) == 2 and all(set(c) == {1} for c in seen)
+        assert _blas_threads() == caller_blas_threads
+
+    def test_serial_campaign_restores_blas_threads_when_it_raises(
+        self, caller_blas_threads, planted_dataset, energy_prr_requirement,
+        monkeypatch,
+    ):
+        real = evalharness._run_iteration
+
+        def second_raises(spec, iteration):
+            if iteration == 1:
+                raise RuntimeError("iteration 1 broke")
+            return real(spec, iteration)
+
+        monkeypatch.setattr(evalharness, "_run_iteration", second_raises)
+        with pytest.raises(RuntimeError, match="iteration 1 broke"):
+            run_campaign(CampaignSpec(requirement=energy_prr_requirement,
+                                      approach="ger", source=planted_dataset,
+                                      iterations=3, max_trials=12))
+        assert _blas_threads() == caller_blas_threads
+
+    def test_serial_matches_pool_on_a_wide_landscape(self, caller_blas_threads):
+        # 192 distinct sets and 256-column predictions: large enough for
+        # OpenBLAS's threaded paths, whose last bits differ from one
+        # thread's. The pool workers run one thread, so must the serial
+        # campaign (seen only where the machine has two or more CPUs).
+        requirement = Requirement(
+            goal=MetricSpec("cost", "minimize"),
+            constraints=(ConstraintSpec("quality", ">=", 50.0, 0.5),),
+        )
+        serial, pooled = (
+            run_campaign(CampaignSpec(requirement=requirement, approach="ger",
+                                      source=_wide_source(), iterations=1,
+                                      max_trials=192, jobs=jobs))
+            for jobs in (1, 2)
+        )
+        np.testing.assert_array_equal(serial.mean_alpha, pooled.mean_alpha)
 
     def test_ger_reaches_truth_within_exhaustion_bound(self, planted_dataset,
                                                        energy_prr_requirement):
