@@ -388,8 +388,9 @@ class AnalysisState:
             for key, (metric, sign) in self._target_defs.items()
         }
         if n == len(self._trial_sets):
-            self._trial_sets = _doubled(self._trial_sets)
-            self._targets = {key: _doubled(b) for key, b in self._targets.items()}
+            # np.resize keeps the first entries and pads with their copies.
+            self._trial_sets = np.resize(self._trial_sets, 2 * n)
+            self._targets = {k: np.resize(b, 2 * n) for k, b in self._targets.items()}
         self._trial_sets[n] = idx
         for key, value in values.items():
             self._targets[key][n] = value
@@ -520,13 +521,6 @@ class AnalysisState:
             for c in self.canonical.constraints
         )
         return -goal - (self.goal_range if violated else 0.0)
-
-
-def _doubled(buffer: np.ndarray) -> np.ndarray:
-    """A buffer twice as long, starting with ``buffer``'s entries."""
-    grown = np.empty(2 * len(buffer), dtype=buffer.dtype)
-    grown[: len(buffer)] = buffer
-    return grown
 
 
 @dataclass

@@ -301,8 +301,10 @@ def fit_many_xy(
         if y.shape != idx.shape:
             raise ConfigError(f"metric {metric!r}: wrong number of values")
         y_mean, y_std = _standardize(y)
-        sums = np.bincount(inverse, weights=y) if totals is None else totals.sums[metric]
-        means = sums / counts
+        if totals is None:
+            means = np.bincount(inverse, weights=y) / counts
+        else:
+            means = totals.sums[metric] / counts
         models[metric] = GPModel(
             space, sets, means, cfg, factor, y_mean, y_std, rows
         )

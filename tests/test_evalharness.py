@@ -79,6 +79,20 @@ def _wide_source() -> SyntheticSpec:
                          {"cost": 2.0, "quality": 4.0})
 
 
+def _csv_curve_cells(result, tmp_path) -> list[list[str]]:
+    """The curve cells of each row of the campaign's CSV, after checking
+    the trial numbers and that every heatmap cell is an integer count."""
+    path = tmp_path / "campaign_trials.csv"
+    evalharness.write_campaign_csv(result, path)
+    with path.open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header[:6] == ["n", "optimality", "mean_alpha", "mean_alpha_b1",
+                          "mean_alpha_b2", "constraint_discovery"]
+    assert [row[0] for row in rows] == [str(k) for k in range(1, result.budget + 1)]
+    assert all(int(cell) >= 0 for row in rows for cell in row[6:])
+    return [row[1:6] for row in rows]
+
+
 def _planted(space, records_per_set=6):
     # Feasible rows i >= 1; unique optimum at index 4 (energy 100).
     energy = [float(200 - 20 * i + 5 * j) if i == 0 else float(100 + 15 * (i - 1) + 5 * j)
@@ -341,7 +355,8 @@ class TestRunCampaign:
         assert result.em1 is not None and result.em1 <= 96
 
     def test_failed_iterations_are_counted_and_excluded(self, crystal_space,
-                                                        energy_prr_requirement):
+                                                        energy_prr_requirement,
+                                                        tmp_path):
         tables = {"energy": [100.0 + i for i in range(16)], "prr": [90.0] * 16}
         small = make_dataset(crystal_space, tables, records_per_set=1)
         spec = CampaignSpec(
@@ -364,36 +379,11 @@ class TestRunCampaign:
         assert summary["em2"] is None and summary["rmsd_alpha"] is None
         assert result.reported_matrix.shape == (0, 30)
         assert result.reported_matrix.dtype.kind == "i"
+        # Nor are the curves: every curve cell of the CSV is empty.
+        assert _csv_curve_cells(result, tmp_path) == [[""] * 5] * 30
 
-    def test_csv_leaves_unmeasured_curves_empty(self, crystal_space, bundled_dataset,
-                                                energy_prr_requirement, tmp_path):
-        small = make_dataset(crystal_space, {"energy": [100.0 + i for i in range(16)],
-                                             "prr": [90.0] * 16}, records_per_set=1)
-        infeasible = dataclasses.replace(
-            energy_prr_requirement,
-            constraints=(ConstraintSpec("prr", ">=", 99.5, 0.5),),
-        )
-        cases = (
-            # No iteration completes: no curve is a measurement.
-            (small, energy_prr_requirement, 30, [""] * 5),
-            # Constraint-finding mode: only optimality is undefined.
-            (bundled_dataset, infeasible, 40, ["", "x", "x", "x", "x"]),
-        )
-        for source, requirement, trials, expected in cases:
-            spec = CampaignSpec(requirement=requirement, approach="ger",
-                                source=source, iterations=2, max_trials=trials)
-            path = tmp_path / "campaign_trials.csv"
-            evalharness.write_campaign_csv(run_campaign(spec), path)
-            with path.open(newline="") as fh:
-                header, *rows = list(csv.reader(fh))
-            assert header[1:6] == ["optimality", "mean_alpha", "mean_alpha_b1",
-                                   "mean_alpha_b2", "constraint_discovery"]
-            assert [row[0] for row in rows] == [str(k) for k in range(1, trials + 1)]
-            for row in rows:
-                assert ["x" if cell else "" for cell in row[1:6]] == expected
-                assert all(int(cell) >= 0 for cell in row[6:])
-
-    def test_constraint_finding_reports_no_optimality(self, bundled_dataset):
+    def test_constraint_finding_reports_no_optimality(self, bundled_dataset,
+                                                      tmp_path):
         # No set's median PRR reaches 99.5 in the bundled dataset, so there
         # is no ground-truth optimum and optimality is undefined.
         requirement = Requirement(
@@ -417,6 +407,9 @@ class TestRunCampaign:
         assert summary["mode"] == "constraint-finding"
         assert summary["final_optimality"] is None
         assert summary["em2"] is None and summary["em3"] is None
+        # The CSV leaves optimality empty and keeps the measured curves.
+        cells = _csv_curve_cells(result, tmp_path)
+        assert all(row[0] == "" and all(row[1:]) for row in cells)
 
     def test_heatmap_counts_bounded_by_iterations(self, planted_dataset,
                                                   energy_prr_requirement):
