@@ -566,7 +566,8 @@ class Engine:
 
     ``run`` drives the executor until a termination criterion fires. A
     caller can drive the same steps itself: ``ask`` for a set, run that
-    trial, and ``tell`` its observation.
+    trial, and ``tell`` its observation, with the loop inside
+    ``surrogate.one_blas_thread()`` as ``run`` does.
     """
 
     def __init__(self, config: EngineConfig, executor):
@@ -605,13 +606,16 @@ class Engine:
     # -- run loop ----------------------------------------------------------
 
     def run(self) -> RunResult:
+        """The whole run, with BLAS on one thread (``one_blas_thread``)."""
         try:
-            while (reason := self.termination_reason()) is None:
-                choice = self.ask()
-                # Every selector returns an open set, so a SetExhausted here is
-                # an executor fault and aborts the run like any ExecutorError.
-                obs = self.executor.run_trial(choice.index, self.analysis.n + 1)
-                self.tell(choice, obs)
+            with surrogate.one_blas_thread():
+                while (reason := self.termination_reason()) is None:
+                    choice = self.ask()
+                    # Every selector returns an open set, so a SetExhausted
+                    # here is an executor fault and aborts the run like any
+                    # ExecutorError.
+                    obs = self.executor.run_trial(choice.index, self.analysis.n + 1)
+                    self.tell(choice, obs)
         except ExecutorError as e:
             return self._result("executor-error", aborted=True, error=str(e))
         except surrogate.FitError as e:
@@ -794,4 +798,5 @@ def reanalyze(
     so this reproduces the ten values the original run logged per trial.
     """
     state = AnalysisState(space, requirement, delta, kernel)
-    return [state.update(obs) for obs in observations]
+    with surrogate.one_blas_thread():
+        return [state.update(obs) for obs in observations]

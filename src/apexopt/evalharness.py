@@ -17,18 +17,14 @@ harness aggregates:
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
-import functools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence, Union
+from typing import Any, Mapping, Sequence, Union
 
 import numpy as np
-import scipy
 
 from apexopt.domain import (
     CanonicalForm,
@@ -272,93 +268,21 @@ def _goal_span(source: TableSource, goal_metric: str) -> tuple[float, float]:
     return float(min(values)), float(max(values))
 
 
-# NumPy and SciPy wheels each bundle their own OpenBLAS, with its own
-# thread setting: (package, setter suffix) per copy.
-_BUNDLED_OPENBLAS = ((np, "64_"), (scipy, ""))
-
-
-@functools.cache
-def bundled_openblas() -> tuple[tuple[ctypes.CDLL, str], ...]:
-    """Each OpenBLAS copy bundled with NumPy or SciPy, with its symbol
-    suffix; a copy that is not found (another BLAS build) is left out.
-    Looked up once per process."""
-    found = []
-    for package, suffix in _BUNDLED_OPENBLAS:
-        pkg_dir = Path(package.__file__).parent
-        libs = pkg_dir.parent / f"{pkg_dir.name}.libs"
-        for path in sorted(libs.glob("libscipy_openblas*.so*")):
-            try:
-                found.append((ctypes.CDLL(str(path)), suffix))
-            except OSError:
-                continue
-    return tuple(found)
-
-
-def _blas_thread_controls() -> list[tuple[Any, Any]]:
-    """(getter, setter) of the thread count of each bundled OpenBLAS copy
-    that exports both."""
-    controls = []
-    for lib, suffix in bundled_openblas():
-        getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-        setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-        if getter is not None and setter is not None:
-            controls.append((getter, setter))
-    return controls
-
-
-def pin_blas_one_thread() -> None:
-    """Limit the bundled OpenBLAS copies to one thread in this process.
-
-    The initializer of the campaign's worker processes: each worker runs
-    whole iterations, and BLAS threads spinning in every worker on small
-    matrices make ``jobs > 1`` slower than a serial run. A silent no-op
-    where a library or its thread functions are missing.
-    """
-    for _, setter in _blas_thread_controls():
-        setter(1)
-
-
-@contextlib.contextmanager
-def one_blas_thread() -> Iterator[None]:
-    """Run the block with the bundled OpenBLAS copies on one thread.
-
-    Each copy's previous thread count is restored on the way out, also
-    when the block raises. The count is per process, so this is not safe
-    to enter from several threads at once.
-    """
-    controls = _blas_thread_controls()
-    previous = [getter() for getter, _ in controls]
-    for _, setter in controls:
-        setter(1)
-    try:
-        yield
-    finally:
-        for (_, setter), count in zip(controls, previous):
-            setter(count)
-
-
-def worker_pool(jobs: int) -> ProcessPoolExecutor:
-    """Process pool for campaign iterations, BLAS pinned to one thread."""
-    return ProcessPoolExecutor(max_workers=jobs, initializer=pin_blas_one_thread)
-
-
 def run_campaign(spec: CampaignSpec) -> CampaignResult:
     """Run M seeded iterations and aggregate the evaluation curves.
 
-    Iterations run with BLAS on one thread: the small matrices of one run
-    gain nothing from more. With ``jobs > 1`` they run in worker processes
-    pinned for their lifetime; with ``jobs=1`` they run here, and the
-    caller's thread counts are restored on return (see ``one_blas_thread``).
+    With ``jobs > 1`` the iterations run in that many worker processes,
+    otherwise here. Either way each runs ``Engine.run``, which puts BLAS
+    on one thread, so both give equal results.
     """
     if spec.jobs > 1:
-        with worker_pool(spec.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             outcomes = list(
                 pool.map(_run_iteration, [spec] * spec.iterations,
                          range(spec.iterations))
             )
     else:
-        with one_blas_thread():
-            outcomes = [_run_iteration(spec, i) for i in range(spec.iterations)]
+        outcomes = [_run_iteration(spec, i) for i in range(spec.iterations)]
     runs = [o for o in outcomes if o is not None]
     failed = tuple(i for i, o in enumerate(outcomes) if o is None)
     budget = spec.max_trials

@@ -18,16 +18,22 @@ of the kernel against the whole grid once, when the set is first tried,
 and fits and grid predictions read their blocks from those rows. The
 Cholesky factor and its solves call LAPACK ``potrf``/``potrs`` directly,
 and the predictive variance takes one BLAS triangular solve (``trsm``;
-GPML Alg. 2.1).
+GPML Alg. 2.1). Their last bits depend on OpenBLAS's thread count, so a
+run's numerics go inside :func:`one_blas_thread`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from pathlib import Path
+from typing import Any, Iterator, Mapping, Sequence, Union
 
 import numpy as np
+import scipy
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf, dpotrs
 
@@ -147,6 +153,54 @@ def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of potrs")
     return x
+
+
+# NumPy and SciPy wheels each bundle their own OpenBLAS, with its own
+# thread setting: (package, symbol suffix) per copy.
+_BUNDLED_OPENBLAS = ((np, "64_"), (scipy, ""))
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple[tuple[Any, Any], ...]:
+    """(getter, setter) of the thread count of each OpenBLAS copy bundled
+    with NumPy or SciPy. A copy that is not found or lacks either function
+    (another BLAS build) is left out. Looked up once per process."""
+    controls = []
+    for package, suffix in _BUNDLED_OPENBLAS:
+        pkg_dir = Path(package.__file__).parent
+        libs = pkg_dir.parent / f"{pkg_dir.name}.libs"
+        for path in sorted(libs.glob("libscipy_openblas*.so*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if getter is not None and setter is not None:
+                controls.append((getter, setter))
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the block with the bundled OpenBLAS copies on one thread.
+
+    One run's matrices are small: a second thread only spins beside it,
+    and it changes the last bits of ``potrf``/``potrs``/``trsm``, so a
+    run's output would depend on the machine. Each copy's previous count
+    is restored on the way out, also when the block raises. The count is
+    per process, so this is not safe to enter from several threads at
+    once. A no-op where the copies or their thread functions are missing.
+    """
+    controls = _blas_thread_controls()
+    previous = [getter() for getter, _ in controls]
+    for _, setter in controls:
+        setter(1)
+    try:
+        yield
+    finally:
+        for (_, setter), count in zip(controls, previous):
+            setter(count)
 
 
 class GPModel:

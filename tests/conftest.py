@@ -1,4 +1,5 @@
-"""Shared fixtures: spaces, requirements, the bundled dataset, a mock testbed."""
+"""Shared fixtures: spaces, requirements, the bundled dataset, a mock testbed,
+the BLAS thread count."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from importlib import resources
 
 import pytest
 
+from apexopt import surrogate
 from apexopt.domain import (
     ConstraintSpec,
     MetricSpec,
@@ -75,6 +77,30 @@ def make_dataset(
         )
         groups.append(recs)
     return TraceDataset(space, tuple(groups))
+
+
+def blas_threads() -> list[int]:
+    """Thread count of each bundled OpenBLAS copy."""
+    return [getter() for getter, _ in surrogate._blas_thread_controls()]
+
+
+def set_blas_threads(counts: list[int]) -> None:
+    """Set each bundled OpenBLAS copy's thread count, in ``blas_threads`` order."""
+    controls = surrogate._blas_thread_controls()
+    for (_, setter), count in zip(controls, counts, strict=True):
+        setter(count)
+
+
+@pytest.fixture
+def caller_blas_threads():
+    """The bundled OpenBLAS copies set to two threads, as a caller's may
+    be; each copy's own count is put back afterwards."""
+    original = blas_threads()
+    if not original:
+        pytest.skip("NumPy/SciPy do not bundle OpenBLAS here")
+    set_blas_threads([2] * len(original))
+    yield blas_threads()
+    set_blas_threads(original)
 
 
 class _MockTestbedHandler(BaseHTTPRequestHandler):

@@ -40,7 +40,12 @@ from apexopt.executor import (
     make_executor,
 )
 from apexopt.surrogate import FitError, KernelConfig
-from tests.conftest import fail_fit_on_call, make_dataset, make_line_space
+from tests.conftest import (
+    blas_threads,
+    fail_fit_on_call,
+    make_dataset,
+    make_line_space,
+)
 
 
 def rng(seed=0):
@@ -516,6 +521,61 @@ class TestReanalysis:
             assert analysis.reported_index == entry.reported_index
 
 
+class TestOneBlasThread:
+    """A run's numerics see one BLAS thread; the caller's count comes back."""
+
+    @pytest.fixture
+    def updates(self, monkeypatch):
+        """The BLAS thread counts seen by each ``AnalysisState.update``."""
+        real = AnalysisState.update
+        seen = []
+
+        def spy(state, obs):
+            seen.append(blas_threads())
+            return real(state, obs)
+
+        monkeypatch.setattr(AnalysisState, "update", spy)
+        return seen
+
+    @staticmethod
+    def _engine(setup, max_trials=12):
+        space, req, spec = setup
+        cfg = EngineConfig(space=space, requirement=req,
+                           termination=TerminationCriteria(max_trials=max_trials),
+                           selector="gp-lcb", seed=4)
+        return Engine(cfg, SyntheticExecutor(spec, 4))
+
+    def test_run(self, caller_blas_threads, noiseless_setup, updates):
+        result = self._engine(noiseless_setup).run()
+        assert not result.aborted
+        assert len(updates) == 12 and all(set(c) == {1} for c in updates)
+        assert blas_threads() == caller_blas_threads
+
+    def test_run_restores_the_count_when_it_raises(self, caller_blas_threads,
+                                                   noiseless_setup, monkeypatch):
+        real = AnalysisState.update
+
+        def third_raises(state, obs):
+            if obs.trial_index == 3:
+                raise RuntimeError("update 3 broke")
+            return real(state, obs)
+
+        monkeypatch.setattr(AnalysisState, "update", third_raises)
+        with pytest.raises(RuntimeError, match="update 3 broke"):
+            self._engine(noiseless_setup).run()
+        assert blas_threads() == caller_blas_threads
+
+    def test_reanalyze(self, caller_blas_threads, noiseless_setup, updates):
+        space, req, _ = noiseless_setup
+        engine = self._engine(noiseless_setup)
+        result = engine.run()
+        updates.clear()
+        reanalyze(space, req, observations_of(result), engine.config.delta,
+                  engine.config.kernel)
+        assert len(updates) == 12 and all(set(c) == {1} for c in updates)
+        assert blas_threads() == caller_blas_threads
+
+
 class TestMultiConstraintBeta:
     def test_beta_is_minimum_over_constraints(self, crystal_space):
         from apexopt.confidence import robustness_beta
@@ -606,12 +666,13 @@ def test_ask_tell_by_hand_matches_run(config, selector):
     result = engine().run()
     assert not result.aborted
     eng = engine()
-    while eng.termination_reason() is None:
-        choice = eng.ask()
-        # Asking again before the tell decides nothing anew.
-        assert eng.ask() == choice
-        obs = eng.executor.run_trial(choice.index, eng.analysis.n + 1)
-        assert eng.tell(choice, obs) is eng.trials[-1]
+    with surrogate.one_blas_thread():
+        while eng.termination_reason() is None:
+            choice = eng.ask()
+            # Asking again before the tell decides nothing anew.
+            assert eng.ask() == choice
+            obs = eng.executor.run_trial(choice.index, eng.analysis.n + 1)
+            assert eng.tell(choice, obs) is eng.trials[-1]
     assert eng.trials == result.trials
     assert eng.termination_reason() == result.terminated_by
 

@@ -28,42 +28,9 @@ from apexopt.evalharness import (
     rmsd_alpha,
     run_campaign,
 )
-from apexopt.engine import EngineConfig
+from apexopt.engine import AnalysisState, EngineConfig
 from apexopt.executor import RemoteConfig, SyntheticSpec
-from tests.conftest import fail_fit_on_call, make_dataset
-
-
-def _blas_threads() -> list[int]:
-    """Thread count of each bundled OpenBLAS, read through its getter."""
-    import ctypes
-
-    counts = []
-    for lib, suffix in evalharness.bundled_openblas():
-        getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-        if getter is not None:
-            getter.restype = ctypes.c_int
-            counts.append(getter())
-    return counts
-
-
-def _set_blas_threads(counts: list[int]) -> None:
-    """Set each bundled OpenBLAS's thread count, in ``_blas_threads`` order."""
-    libs = [(lib, suffix) for lib, suffix in evalharness.bundled_openblas()
-            if hasattr(lib, f"scipy_openblas_get_num_threads{suffix}")]
-    for (lib, suffix), count in zip(libs, counts, strict=True):
-        getattr(lib, f"scipy_openblas_set_num_threads{suffix}")(count)
-
-
-@pytest.fixture
-def caller_blas_threads():
-    """The bundled OpenBLAS copies set to two threads, as a caller's may
-    be; each copy's own count is put back afterwards."""
-    original = _blas_threads()
-    if not original:
-        pytest.skip("NumPy/SciPy do not bundle OpenBLAS here")
-    _set_blas_threads([2] * len(original))
-    yield _blas_threads()
-    _set_blas_threads(original)
+from tests.conftest import blas_threads, fail_fit_on_call, make_dataset
 
 
 def _wide_source() -> SyntheticSpec:
@@ -277,48 +244,23 @@ class TestRunCampaign:
                 assert a.dtype == b.dtype, name
                 np.testing.assert_array_equal(a, b, err_msg=name)
 
-    def test_pool_workers_run_one_blas_thread(self):
-        if not evalharness.bundled_openblas():
-            pytest.skip("NumPy/SciPy do not bundle OpenBLAS here")
-        with evalharness.worker_pool(2) as pool:
-            counts = [pool.submit(_blas_threads).result() for _ in range(4)]
-        assert all(c and set(c) == {1} for c in counts)
-
     def test_serial_campaign_runs_one_blas_thread(self, caller_blas_threads,
                                                   planted_dataset,
                                                   energy_prr_requirement,
                                                   monkeypatch):
-        real = evalharness._run_iteration
+        real = AnalysisState.update
         seen = []
 
-        def spy(spec, iteration):
-            seen.append(_blas_threads())
-            return real(spec, iteration)
+        def spy(state, obs):
+            seen.append(blas_threads())
+            return real(state, obs)
 
-        monkeypatch.setattr(evalharness, "_run_iteration", spy)
+        monkeypatch.setattr(AnalysisState, "update", spy)
         run_campaign(CampaignSpec(requirement=energy_prr_requirement,
                                   approach="apex-lcb", source=planted_dataset,
                                   iterations=2, max_trials=12))
-        assert len(seen) == 2 and all(set(c) == {1} for c in seen)
-        assert _blas_threads() == caller_blas_threads
-
-    def test_serial_campaign_restores_blas_threads_when_it_raises(
-        self, caller_blas_threads, planted_dataset, energy_prr_requirement,
-        monkeypatch,
-    ):
-        real = evalharness._run_iteration
-
-        def second_raises(spec, iteration):
-            if iteration == 1:
-                raise RuntimeError("iteration 1 broke")
-            return real(spec, iteration)
-
-        monkeypatch.setattr(evalharness, "_run_iteration", second_raises)
-        with pytest.raises(RuntimeError, match="iteration 1 broke"):
-            run_campaign(CampaignSpec(requirement=energy_prr_requirement,
-                                      approach="ger", source=planted_dataset,
-                                      iterations=3, max_trials=12))
-        assert _blas_threads() == caller_blas_threads
+        assert len(seen) == 24 and all(set(c) == {1} for c in seen)
+        assert blas_threads() == caller_blas_threads
 
     def test_serial_matches_pool_on_a_wide_landscape(self, caller_blas_threads):
         # 192 distinct sets and 256-column predictions: large enough for
