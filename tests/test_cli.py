@@ -34,7 +34,7 @@ from apexopt.engine import SELECTOR_ALIASES, EngineConfig
 from apexopt.evalharness import run_campaign
 from apexopt.executor import RemoteConfig
 from apexopt.surrogate import KernelConfig
-from tests.conftest import fail_fit_on_call
+from tests.conftest import blas_threads, fail_fit_on_call, set_blas_threads
 
 
 def base_config(dataset_path: str) -> dict:
@@ -423,6 +423,33 @@ def test_reanalysis_reproduces_every_trial_exactly(config, selector, tmp_path):
         fresh = dataclasses.asdict(fresh)
         assert fresh == {key: stored[key] for key in fresh}
         assert len(fresh) == 10
+
+
+# 192 ger trials on the 256-set grid: large enough for OpenBLAS's threaded
+# paths, whose last bits differ from one thread's where the machine has two
+# or more CPUs (from trial 131 on, when the run was not pinned).
+WIDE_YAML = (Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+             / "wide_synthetic.yaml")
+
+
+def test_run_file_does_not_depend_on_blas_threads(caller_blas_threads, tmp_path):
+    copies = len(caller_blas_threads)
+    run_files = {}
+    for threads in (1, 2):
+        set_blas_threads([threads] * copies)
+        assert blas_threads() == [threads] * copies
+        out = tmp_path / f"threads-{threads}"
+        assert main(["optimize", str(WIDE_YAML), "--selector", "ger",
+                     "--out", str(out)]) == EXIT_OK
+        run_files[threads] = out / "run_result.json"
+    assert run_files[2].read_bytes() == run_files[1].read_bytes()
+    doc = json.loads(run_files[1].read_text())
+    records = reanalyze_run_file(run_files[1])
+    assert blas_threads() == [2] * copies
+    assert len(records) == len(doc["trials"]) == 192
+    for stored, fresh in zip(doc["trials"], records):
+        fresh = dataclasses.asdict(fresh)
+        assert fresh == {key: stored[key] for key in fresh}
 
 
 def test_run_file_records_every_engine_config_field(tmp_path):
