@@ -449,6 +449,16 @@ class RemoteConfig:
     timeout: float | None = None
     http_timeout: float = 30.0
 
+    def __post_init__(self) -> None:
+        # Written so that NaN fails every check: a NaN deadline never
+        # passes, and a negative sleep raises.
+        for name in ("trial_duration", "http_timeout", "timeout"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigError(f"remote {name} must be positive and finite")
+        if not 0.0 <= self.poll_interval < math.inf:
+            raise ConfigError("remote poll_interval must be nonnegative and finite")
+
     @property
     def effective_timeout(self) -> float:
         return self.timeout if self.timeout is not None else 2.0 * self.trial_duration

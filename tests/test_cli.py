@@ -319,6 +319,25 @@ class TestOptimizeCommand:
         out = tmp_path / "out"
         assert main(["optimize", str(path), "--out", str(out)]) == EXIT_EXECUTOR
 
+    @pytest.mark.parametrize("key, value", [
+        ("trial_duration", math.nan), ("timeout", math.nan),
+        ("http_timeout", 0.0), ("poll_interval", -1.0),
+    ])
+    def test_bad_remote_timing_exits_2(self, tmp_path, capsys, key, value):
+        # A NaN deadline is never reached and a negative poll interval
+        # crashes time.sleep: both are rejected before any request.
+        cfg = {
+            "protocol": {"parameters": [{"name": "p", "values": [0, 1]}]},
+            "requirement": {"goal": {"metric": "m", "direction": "minimize"}},
+            "executor": {"kind": "remote",
+                         "remote": {"endpoint": "http://127.0.0.1:1", key: value}},
+        }
+        path = tmp_path / "remote.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "out"
+        assert main(["optimize", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert f"remote {key} must be" in capsys.readouterr().err
+
     def test_round_trip_reanalysis(self, config_file, tmp_path):
         out = tmp_path / "rt"
         main(["optimize", config_file(), "--out", str(out)])

@@ -237,6 +237,20 @@ class TestRemote:
         cfg = RemoteConfig(endpoint="http://x", trial_duration=600.0)
         assert cfg.effective_timeout == 1200.0
 
+    @pytest.mark.parametrize("key, value", [
+        ("trial_duration", float("nan")), ("trial_duration", 0.0),
+        ("trial_duration", float("inf")), ("timeout", float("nan")),
+        ("timeout", -1.0), ("http_timeout", 0.0), ("http_timeout", float("nan")),
+        ("poll_interval", -1.0), ("poll_interval", float("nan")),
+        ("poll_interval", float("inf")),
+    ])
+    def test_bad_timing_is_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"remote {key} must be"):
+            RemoteConfig(endpoint="http://x", **{key: value})
+
+    def test_zero_poll_interval_is_accepted(self):
+        assert RemoteConfig(endpoint="http://x", poll_interval=0.0).poll_interval == 0.0
+
 
 class TestDatasetIO:
     def test_jsonl_roundtrip(self, tmp_path, crystal_space):
