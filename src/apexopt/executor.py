@@ -35,7 +35,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -275,31 +275,6 @@ def _load_csv(path: Path, space: ParameterSpace | None) -> TraceDataset:
             defs.append(ParameterDef(name=name, values=tuple(values)))
         space = ParameterSpace(defs)
     return TraceDataset(space, _group(space, parsed, path))
-
-
-def save_dataset(dataset: TraceDataset, path: Union[str, Path],
-                 n_r: int | None = None) -> None:
-    """Write a dataset as JSON Lines with a leading header object."""
-    path = Path(path)
-    header = {
-        "parameters": [asdict(d) for d in dataset.space.defs],
-        "metrics": list(dataset.metric_names()),
-    }
-    if n_r is not None:
-        header["n_r"] = n_r
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"header": header}, sort_keys=True) + "\n")
-        for idx in range(dataset.space.n_sets):
-            params = dataset.space.set_at(idx).as_dict(dataset.space)
-            for rec in dataset.records_by_set[idx]:
-                fh.write(
-                    json.dumps(
-                        {"params": params, "metrics": dict(rec.metrics),
-                         "run_id": rec.run_id},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
 
 
 class ReplayExecutor:

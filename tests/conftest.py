@@ -1,12 +1,14 @@
 """Shared fixtures: spaces, requirements, the bundled dataset, a mock testbed,
-the BLAS thread count."""
+a dataset writer and the BLAS thread count."""
 
 from __future__ import annotations
 
 import json
 import threading
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +79,31 @@ def make_dataset(
         )
         groups.append(recs)
     return TraceDataset(space, tuple(groups))
+
+
+def save_dataset(dataset: TraceDataset, path: str | Path,
+                 n_r: int | None = None) -> None:
+    """Write a dataset as JSON Lines with a leading header object."""
+    path = Path(path)
+    header = {
+        "parameters": [asdict(d) for d in dataset.space.defs],
+        "metrics": list(dataset.metric_names()),
+    }
+    if n_r is not None:
+        header["n_r"] = n_r
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"header": header}, sort_keys=True) + "\n")
+        for idx in range(dataset.space.n_sets):
+            params = dataset.space.set_at(idx).as_dict(dataset.space)
+            for rec in dataset.records_by_set[idx]:
+                fh.write(
+                    json.dumps(
+                        {"params": params, "metrics": dict(rec.metrics),
+                         "run_id": rec.run_id},
+                        sort_keys=True,
+                    )
+                    + "\n"
+                )
 
 
 def blas_threads() -> list[int]:

@@ -23,10 +23,9 @@ from apexopt.executor import (
     load_dataset,
     make_executor,
     remote_trial,
-    save_dataset,
     validate_dataset,
 )
-from tests.conftest import make_dataset, make_line_space
+from tests.conftest import make_dataset, make_line_space, save_dataset
 
 
 class TestReplay:
