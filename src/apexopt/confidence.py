@@ -81,17 +81,40 @@ def instant_suboptimality(
     return best_median - float(np.min(lcb_values(mean, std, kappa_n)))
 
 
-def _curve(b: float | np.ndarray, x: np.ndarray) -> np.ndarray:
-    # (1 - exp(-b x)) / (1 - exp(-b)), stable for small b via expm1.
-    return np.expm1(-b * x) / np.expm1(-b)
+# The fitted curve is (1 - exp(-b x)) / (1 - exp(-b)), computed as
+# np.expm1(-b * x) / np.expm1(-b), which is stable for small b.
 
 
-def _sse(b: float, x: np.ndarray, y: np.ndarray) -> float:
-    r = _curve(b, x) - y
+def _sse(
+    b: float, x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None
+) -> float:
+    # Squared residuals of the curve at rate b against y, summed; computed
+    # in ``out`` (an array shaped like x) when given.
+    r = np.multiply(-b, x, out=out)
+    np.expm1(r, out=r)
+    r /= np.expm1(-b)
+    r -= y
     return float(r @ r)
 
 
 _GRID = np.logspace(math.log10(B_MIN), math.log10(B_MAX), _GRID_POINTS)
+_NEG_GRID = -_GRID[:, None]
+_GRID_DENOMS = np.expm1(-_GRID)[:, None]
+
+# optimality_alpha fits on x = arange(n) / (n - 1), so its grid curve
+# matrix depends on n alone. The matrices for n <= _CURVE_CACHE_MAX_N are
+# kept, at 200 * 8 * n bytes each: 1.88 MB for n = 3..48. A longer trace
+# builds its matrix on each call, as fit_saturating_exponential does.
+_CURVE_CACHE_MAX_N = 48
+_curve_cache: dict[int, np.ndarray] = {}
+
+
+def _grid_curves(x: np.ndarray) -> np.ndarray:
+    """The curve at every grid rate, one row per rate: bit for bit
+    np.expm1(-b * x) / np.expm1(-b) with b = _GRID[:, None]."""
+    out = np.multiply(_NEG_GRID, x)
+    np.expm1(out, out=out)
+    return np.divide(out, _GRID_DENOMS, out=out)
 
 
 _SQRT_EPS = math.sqrt(2.2e-16)
@@ -180,15 +203,20 @@ def fit_saturating_exponential(x: np.ndarray, y: np.ndarray) -> float:
     A coarse log-spaced grid is refined with a bounded scalar minimizer
     around the best grid cell.
     """
-    curves = _curve(_GRID[:, None], x)
-    residuals = curves - y[None, :]
+    return _fit_on_grid(x, y, _grid_curves(x))
+
+
+def _fit_on_grid(x: np.ndarray, y: np.ndarray, curves: np.ndarray) -> float:
+    # fit_saturating_exponential, given ``curves`` = _grid_curves(x).
+    residuals = curves - y
     errors = np.einsum("ij,ij->i", residuals, residuals)
     best = int(np.argmin(errors))
     lo = _GRID[max(best - 1, 0)]
     hi = _GRID[min(best + 1, len(_GRID) - 1)]
     if lo == hi:
         return float(_GRID[best])
-    b, sse = minimize_bounded(lambda b: _sse(b, x, y), lo, hi, 1e-6)
+    buf = np.empty(len(x))
+    b, sse = minimize_bounded(lambda b: _sse(b, x, y, buf), lo, hi, 1e-6)
     return b if sse <= errors[best] else float(_GRID[best])
 
 
@@ -235,13 +263,19 @@ def optimality_alpha(trace: SuboptimalityTrace) -> tuple[float, float]:
     n = len(trace)
     if n < 3:
         return 0.0, 45.0
-    t = np.asarray(trace.cumulative, dtype=float)
-    lo, hi = float(np.min(t)), float(np.max(t))
+    cumulative = trace.cumulative
+    lo, hi = min(cumulative), max(cumulative)
     if hi == lo:
         return 100.0, 0.0
     x = np.arange(n, dtype=float) / (n - 1)
-    y = (t - lo) / (hi - lo)
-    b = fit_saturating_exponential(x, y)
+    y = (np.asarray(cumulative, dtype=float) - lo) / (hi - lo)
+    curves = _curve_cache.get(n)
+    if curves is None:
+        curves = _grid_curves(x)
+        if n <= _CURVE_CACHE_MAX_N:
+            curves.flags.writeable = False
+            _curve_cache[n] = curves
+    b = _fit_on_grid(x, y, curves)
     theta = min(45.0, tangent_angle_deg(b))
     return alpha_from_angle(theta), theta
 
@@ -257,7 +291,7 @@ def alpha_b1(current_best: float, previous_best: float, goal_range: float) -> fl
     if goal_range <= 0.0:
         return 100.0
     ratio = abs(current_best - previous_best) / goal_range
-    return float(np.clip((1.0 - ratio) * 100.0, 0.0, 100.0))
+    return min(max((1.0 - ratio) * 100.0, 0.0), 100.0)
 
 
 def alpha_b2(
@@ -273,4 +307,4 @@ def alpha_b2(
     d = normalized_distance(space, current_set, previous_set)
     stability = 1.0 - d / max_distance(space)
     blended = eta * (alpha_b1_value / 100.0) + (1.0 - eta) * stability
-    return float(np.clip(blended * 100.0, 0.0, 100.0))
+    return min(max(blended * 100.0, 0.0), 100.0)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence, Union
@@ -276,6 +275,8 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
     on one thread, so both give equal results.
     """
     if spec.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             outcomes = list(
                 pool.map(_run_iteration, [spec] * spec.iterations,

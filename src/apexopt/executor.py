@@ -31,16 +31,17 @@ CSV import is also accepted: a header row with ``param:<name>`` and
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
 import numpy as np
-import requests
 
 from apexopt.domain import (
     ConfigError,
@@ -382,8 +383,22 @@ class SyntheticSpec:
         return self.metrics[metric]
 
 
+@functools.cache
 def _metric_stream_key(metric: str) -> int:
     return int.from_bytes(hashlib.sha256(metric.encode()).digest()[:8], "big")
+
+
+def _uint32_words(value: int) -> tuple[int, ...]:
+    """The 32-bit words, least significant first, that ``SeedSequence``
+    reads from a nonnegative int; 0 is one word."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"seed words need a nonnegative integer, got {value}")
+    words = []
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return tuple(words) or (0,)
 
 
 class SyntheticExecutor:
@@ -396,15 +411,25 @@ class SyntheticExecutor:
     def __init__(self, spec: SyntheticSpec, seed: int):
         self.spec = spec
         self.seed = seed
+        self._seed_words = _uint32_words(seed)
+        self._key_words = {
+            name: _uint32_words(_metric_stream_key(name)) for name in spec.metrics
+        }
 
     def run_trial(self, set_index: int, trial_index: int) -> Observation:
         metrics = {}
+        trial_words = None
         for name, table in self.spec.metrics.items():
             value = float(table[set_index])
             std = self.spec.noise_std.get(name, 0.0)
             if std > 0.0:
+                # default_rng([seed, trial_index, key]) without its
+                # Python-level conversion of the three ints: the same
+                # uint32 words, so the same draws.
+                if trial_words is None:
+                    trial_words = self._seed_words + _uint32_words(trial_index)
                 rng = np.random.default_rng(
-                    [self.seed, trial_index, _metric_stream_key(name)]
+                    np.array(trial_words + self._key_words[name], dtype=np.uint32)
                 )
                 value += std * rng.standard_normal()
             metrics[name] = value
@@ -445,6 +470,8 @@ def remote_trial(
     timeout: float | None = None,
 ) -> dict[str, float]:
     """Submit one job, poll it to completion, and return its metrics."""
+    import requests  # only the remote backend needs it (about 4 MB at import)
+
     base = cfg.endpoint.rstrip("/")
     deadline = time.monotonic() + (
         timeout if timeout is not None else cfg.effective_timeout

@@ -287,8 +287,12 @@ def _factorize(cfg: KernelConfig, k: np.ndarray, counts: np.ndarray) -> np.ndarr
 
 
 def _standardize(targets: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(targets))
-    std = float(np.std(targets))
+    # np.mean and np.std without their wrappers: the same np.add.reduce
+    # sums, divided by the count, so the same bits.
+    n = len(targets)
+    mean = float(np.add.reduce(targets)) / n
+    dev = targets - mean
+    std = math.sqrt(float(np.add.reduce(dev * dev)) / n)
     if std == 0.0:
         std = 1.0
     return mean, std

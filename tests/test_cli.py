@@ -4,7 +4,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from importlib import resources
 from pathlib import Path
@@ -693,6 +696,21 @@ class TestBundledConfigs:
                      "--max-trials", "12"]) == EXIT_OK
         doc = json.loads((out / "run_result.json").read_text())
         assert doc["best"] is not None
+
+
+def test_cli_import_leaves_remote_and_pool_modules_unloaded():
+    # requests loads in remote_trial and the process pool in a campaign
+    # with jobs > 1; a fresh interpreter importing the CLI loads neither.
+    import apexopt
+
+    code = (
+        "import sys, apexopt.cli; "
+        "print(sorted({'requests', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(apexopt.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_log2_scale_parameter_parses(tmp_path):

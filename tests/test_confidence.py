@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from apexopt import confidence
 from apexopt.confidence import (
     SuboptimalityTrace,
     alpha_b1,
@@ -200,6 +201,103 @@ class TestOptimalityAlpha:
             assert 0.0 <= alpha <= 100.0
 
 
+def formula_curves(x: np.ndarray) -> np.ndarray:
+    b = confidence._GRID[:, None]
+    return np.expm1(-b * x) / np.expm1(-b)
+
+
+def formula_fit(x: np.ndarray, y: np.ndarray) -> float:
+    """The α fit as first written: fresh arrays, the curve formula inline."""
+    grid = confidence._GRID
+    residuals = formula_curves(x) - y[None, :]
+    errors = np.einsum("ij,ij->i", residuals, residuals)
+    best = int(np.argmin(errors))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    if lo == hi:
+        return float(grid[best])
+
+    def sse(b):
+        r = np.expm1(-b * x) / np.expm1(-b) - y
+        return float(r @ r)
+
+    b, fun = minimize_bounded(sse, lo, hi, 1e-6)
+    return b if fun <= errors[best] else float(grid[best])
+
+
+def formula_alpha(trace: SuboptimalityTrace) -> tuple[float, float]:
+    n = len(trace)
+    t = np.asarray(trace.cumulative, dtype=float)
+    lo, hi = float(np.min(t)), float(np.max(t))
+    if hi == lo:
+        return 100.0, 0.0
+    x = np.arange(n, dtype=float) / (n - 1)
+    theta = min(45.0, tangent_angle_deg(formula_fit(x, (t - lo) / (hi - lo))))
+    return alpha_from_angle(theta), theta
+
+
+def random_trace(rng, n: int) -> SuboptimalityTrace:
+    trace = SuboptimalityTrace()
+    decay = rng.uniform(0.0, 1.0, size=n) ** rng.uniform(0.0, 4.0)
+    for tau in rng.normal(rng.uniform(-1.0, 3.0), 5.0, size=n) * decay:
+        trace.record(float(tau))
+    return trace
+
+
+class _UnreadableCache(dict):
+    def get(self, *args):
+        raise AssertionError("the grid curve cache was read")
+
+    __getitem__ = __contains__ = get
+
+
+class TestGridCurveCache:
+    # Every n a cache up to the bound can hold, at 200 * 8 bytes per point.
+    BUDGET = 200 * 8 * sum(range(3, confidence._CURVE_CACHE_MAX_N + 1))
+
+    def test_bound_costs_at_most_1_9_mb(self):
+        assert self.BUDGET <= 1.9e6
+
+    def test_grid_curves_equal_the_formula(self):
+        for n in range(3, 201):
+            x = np.arange(n, dtype=float) / (n - 1)
+            assert np.array_equal(confidence._grid_curves(x), formula_curves(x))
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["cold", "warm"])
+    def test_alpha_equals_the_formula_on_both_sides_of_the_bound(
+        self, monkeypatch, cached
+    ):
+        monkeypatch.setattr(confidence, "_curve_cache", {})
+        rng = np.random.default_rng(11)
+        for n in range(3, 201):
+            trace = random_trace(rng, n)
+            if cached:
+                optimality_alpha(random_trace(rng, n))
+            assert optimality_alpha(trace) == formula_alpha(trace), n
+
+    def test_cache_stays_within_its_budget(self, monkeypatch):
+        monkeypatch.setattr(confidence, "_curve_cache", {})
+        rng = np.random.default_rng(12)
+        for n in range(3, 401):
+            optimality_alpha(random_trace(rng, n))
+        cache = confidence._curve_cache
+        assert max(cache) <= confidence._CURVE_CACHE_MAX_N
+        assert sum(c.nbytes for c in cache.values()) <= self.BUDGET
+
+    def test_cached_curves_are_read_only(self, monkeypatch):
+        monkeypatch.setattr(confidence, "_curve_cache", {})
+        optimality_alpha(random_trace(np.random.default_rng(13), 10))
+        with pytest.raises(ValueError):
+            confidence._curve_cache[10][0, 0] = 0.0
+
+    def test_non_uniform_x_does_not_read_the_cache(self, monkeypatch):
+        monkeypatch.setattr(confidence, "_curve_cache", _UnreadableCache())
+        rng = np.random.default_rng(14)
+        for n in (3, 20, 48, 49, 120):
+            x = np.sort(rng.uniform(0.0, 1.0, size=n))
+            y = np.sort(rng.uniform(0.0, 1.0, size=n))
+            assert fit_saturating_exponential(x, y) == formula_fit(x, y)
+
+
 class TestBoundedBrent:
     def test_equals_scipy_bounded_on_random_traces(self):
         from scipy.optimize import minimize_scalar
@@ -253,6 +351,32 @@ class TestBaselineAlphas:
     def test_b2_eta_near_one_recovers_b1(self, crystal_space):
         value = alpha_b2(80.0, crystal_space, 0, 15, eta=1 - 1e-9)
         assert value == pytest.approx(80.0, abs=1e-5)
+
+    @given(
+        current=st.floats(-1e6, 1e6),
+        previous=st.floats(-1e6, 1e6),
+        goal_range=st.floats(1e-6, 1e6),
+    )
+    def test_b1_clamps_like_np_clip(self, current, previous, goal_range):
+        ratio = abs(current - previous) / goal_range
+        expected = float(np.clip((1.0 - ratio) * 100.0, 0.0, 100.0))
+        assert alpha_b1(current, previous, goal_range) == expected
+
+    @given(
+        value=st.floats(-1e4, 1e4),
+        a=st.integers(0, 15),
+        b=st.integers(0, 15),
+        eta=st.floats(0.01, 0.99),
+    )
+    def test_b2_clamps_like_np_clip(self, value, a, b, eta):
+        space = ParameterSpace(
+            [ParameterDef("p", (-5.0, -3.0, -1.0, 0.0)),
+             ParameterDef("q", (1.0, 2.0, 3.0, 4.0))]
+        )
+        d = np.linalg.norm(space.normalized_all()[a] - space.normalized_all()[b])
+        blended = eta * (value / 100.0) + (1.0 - eta) * (1.0 - float(d) / math.sqrt(2))
+        expected = float(np.clip(blended * 100.0, 0.0, 100.0))
+        assert alpha_b2(value, space, a, b, eta) == expected
 
     def test_b2_range(self, crystal_space):
         rng = np.random.default_rng(0)

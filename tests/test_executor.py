@@ -17,6 +17,7 @@ from apexopt.executor import (
     SetExhausted,
     SyntheticExecutor,
     SyntheticSpec,
+    _metric_stream_key,
     TraceDataset,
     TraceRecord,
     TrialTimeoutError,
@@ -161,6 +162,28 @@ class TestSynthetic:
         x = SyntheticExecutor(spec, 4).run_trial(5, trial_index=9).metrics["m"]
         y = SyntheticExecutor(spec, 4).run_trial(5, trial_index=9).metrics["m"]
         assert x == y
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_draws_equal_default_rng_of_seed_trial_and_key(self, crystal_space, seed):
+        spec = SyntheticSpec(
+            crystal_space,
+            {"a": np.zeros(16), "b": np.arange(16.0), "c": np.ones(16)},
+            noise_std={"a": 1.5, "b": 0.25},
+        )
+        executor = SyntheticExecutor(spec, seed)
+        for trial in (1, 2, 96, 2**32 - 1, 2**32, 2**40 + 7):
+            obs = executor.run_trial(5, trial)
+            for name, std in (("a", 1.5), ("b", 0.25)):
+                key = _metric_stream_key(name)
+                rng = np.random.default_rng([seed, trial, key])
+                expected = float(spec.table(name)[5]) + std * rng.standard_normal()
+                assert obs.metrics[name] == expected
+            assert obs.metrics["c"] == 1.0
+
+    def test_negative_seed_is_rejected(self, crystal_space):
+        spec = SyntheticSpec(crystal_space, {"m": np.zeros(16)}, {"m": 1.0})
+        with pytest.raises(ValueError):
+            SyntheticExecutor(spec, -1)
 
     def test_table_must_cover_space(self, crystal_space):
         with pytest.raises(ConfigError):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from apexopt import surrogate
 from apexopt.domain import ConfigError, ParameterDef, ParameterSpace
@@ -366,3 +368,14 @@ class TestFitPredict:
 
         with pytest.raises(ConfigError):
             fit_xy(crystal_space, [], [], KernelConfig())
+
+
+@given(
+    st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=300),
+    st.floats(-1e6, 1e6),
+)
+def test_standardize_matches_np_mean_and_std(values, shift):
+    targets = np.asarray(values) + shift
+    std = float(np.std(targets))
+    expected = (float(np.mean(targets)), std if std != 0.0 else 1.0)
+    assert surrogate._standardize(targets) == expected
