@@ -207,7 +207,7 @@ def formula_curves(x: np.ndarray) -> np.ndarray:
 
 
 def formula_fit(x: np.ndarray, y: np.ndarray) -> float:
-    """The α fit as first written: fresh arrays, the curve formula inline."""
+    """The α fit written out directly: fresh arrays, the curve formula inline."""
     grid = confidence._GRID
     residuals = formula_curves(x) - y[None, :]
     errors = np.einsum("ij,ij->i", residuals, residuals)
@@ -251,11 +251,7 @@ class _UnreadableCache(dict):
 
 
 class TestGridCurveCache:
-    # Every n a cache up to the bound can hold, at 200 * 8 bytes per point.
-    BUDGET = 200 * 8 * sum(range(3, confidence._CURVE_CACHE_MAX_N + 1))
-
-    def test_bound_costs_at_most_1_9_mb(self):
-        assert self.BUDGET <= 1.9e6
+    BUDGET = 1_900_000  # bytes the kept curve matrices may hold in all
 
     def test_grid_curves_equal_the_formula(self):
         for n in range(3, 201):
