@@ -43,6 +43,7 @@ from apexopt.domain import (
     Requirement,
     TerminationCriteria,
     UnsatisfiableTerminationError,
+    is_metric_value,
 )
 from apexopt.engine import Engine, EngineConfig, RunResult, reanalyze
 from apexopt.evalharness import CampaignSpec, run_campaign
@@ -319,7 +320,10 @@ def _parse_executor(
             if ("table" in m) == ("expression" in m):
                 _fail(mpath, "specify exactly one of 'table' or 'expression'")
             if "table" in m:
-                table = np.asarray(m["table"], dtype=float)
+                table = m["table"]
+                if not isinstance(table, list) or not all(map(is_metric_value, table)):
+                    _fail(f"{mpath}.table", "expected a list of finite numbers")
+                table = np.asarray(table, dtype=float)
             else:
                 table = _evaluate_expression(m["expression"], space, mpath)
             tables[name] = table
@@ -523,6 +527,13 @@ def write_trials_csv(result: RunResult, config: EngineConfig, path: Path) -> Non
             )
 
 
+def _write_json(path: Path, doc: Mapping[str, Any]) -> None:
+    """Write an output document: sorted keys, indent 2, trailing newline."""
+    with path.open("w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_optimize(args: argparse.Namespace) -> int:
@@ -536,9 +547,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     result = Engine(config, executor).run()
     out_dir = Path(args.out) if args.out else bundle.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "run_result.json").open("w", encoding="utf-8") as fh:
-        json.dump(run_result_to_dict(result, config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "run_result.json", run_result_to_dict(result, config))
     write_trials_csv(result, config, out_dir / "trials.csv")
     if result.best_index is not None:
         best = result.best_set.as_dict(config.space)
@@ -566,7 +575,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     result = run_campaign(spec)
     out_dir = Path(args.out) if args.out else bundle.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    evalharness.write_campaign_summary(result, spec, out_dir / "campaign_summary.json")
+    _write_json(
+        out_dir / "campaign_summary.json", evalharness.campaign_summary(result, spec)
+    )
     evalharness.write_campaign_csv(result, out_dir / "campaign_trials.csv")
     print(f"approach: {result.approach}")
     print(f"iterations: {result.iterations} ok, {result.failures} failed")
@@ -611,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp = sub.add_parser("campaign", help="run a repeated-seed evaluation")
     p_camp.add_argument("config", help="YAML configuration file")
     p_camp.add_argument("--approach", default=None,
-                        help="apex-lcb | apex-ei | gel | ger | guc | rl-step | rl-any")
+                        help=" | ".join(evalharness.APPROACHES))
     p_camp.add_argument("--iterations", type=int, default=None)
     p_camp.add_argument("--seed", type=int, default=None,
                         help="override the campaign base seed")

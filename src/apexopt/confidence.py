@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from apexopt.acquisition import lcb_values
 from apexopt.domain import (
     CanonicalConstraint,
     ConfigError,
-    ParameterSet,
     ParameterSpace,
     max_distance,
     normalized_distance,
@@ -297,8 +296,8 @@ def alpha_b1(current_best: float, previous_best: float, goal_range: float) -> fl
 def alpha_b2(
     alpha_b1_value: float,
     space: ParameterSpace,
-    current_set: Union[int, ParameterSet],
-    previous_set: Union[int, ParameterSet],
+    current_set: int,
+    previous_set: int,
     eta: float = 0.5,
 ) -> float:
     """Blend of value stability and parameter stability in [0, 100]."""

@@ -262,7 +262,8 @@ class CanonicalConstraint:
     bound: float
     percentile: float
 
-    def satisfied(self, raw: float) -> bool:
+    def satisfied(self, raw: float | np.ndarray) -> bool | np.ndarray:
+        """Whether a raw value meets the constraint; elementwise on arrays."""
         return self.sign * raw <= self.bound
 
 
@@ -312,28 +313,31 @@ def canonicalize(req: Union[Requirement, CanonicalForm]) -> CanonicalForm:
     )
 
 
-def normalized_distance(
-    space: ParameterSpace,
-    a: Union[int, ParameterSet, Sequence[float]],
-    b: Union[int, ParameterSet, Sequence[float]],
-) -> float:
-    """Euclidean distance between two sets in unit-cube coordinates.
-
-    The space diagonal (maximum possible distance) is sqrt(dimension).
-    Set indices read the cached coordinate rows, which equal
-    ``space.normalized(index)``.
-    """
-    def coords(item):
-        if isinstance(item, (int, np.integer)):
-            return space.normalized_all()[item]
-        return space.normalized(item)
-
-    return float(np.linalg.norm(coords(a) - coords(b)))
+def normalized_distance(space: ParameterSpace, a: int, b: int) -> float:
+    """Euclidean distance between two sets, given by index, in unit-cube
+    coordinates. The space diagonal (maximum possible distance) is
+    sqrt(dimension)."""
+    coords = space.normalized_all()
+    return float(np.linalg.norm(coords[a] - coords[b]))
 
 
 def max_distance(space: ParameterSpace) -> float:
     """Diagonal of the normalized space."""
     return math.sqrt(space.dimension)
+
+
+def is_metric_value(value: object) -> bool:
+    """Whether ``value`` is a metric reading: a finite int or float, NumPy
+    scalars included. A bool is not a reading, so a JSON ``true`` is not
+    1.0."""
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from apexopt.domain import (
     Requirement,
     TerminationCriteria,
     canonicalize,
+    is_metric_value,
 )
 from apexopt.executor import DatasetExhausted, ExecutorError
 from apexopt.surrogate import GPModel, KernelConfig
@@ -373,7 +374,7 @@ class AnalysisState:
             )
         for m in self._metrics:
             value = obs.metrics[m]
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if not is_metric_value(value):
                 raise ConfigError(
                     f"observation at trial {obs.trial_index}: metric {m!r} is "
                     f"{value!r}, not a finite number"
@@ -433,7 +434,7 @@ class AnalysisState:
         self.counts[idx] = len(goal_sorted)
         self.goal_medians[idx] = canon.goal_sign * sorted_median(goal_sorted)
         self._violating[idx] = not all(
-            c.sign * sorted_median(readings[c.metric]) <= c.bound
+            c.satisfied(sorted_median(readings[c.metric]))
             for c in canon.constraints
         )
         self.d_n, self.d_satisfying, self.d_violating = self._split()

@@ -18,7 +18,6 @@ harness aggregates:
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence, Union
@@ -55,8 +54,8 @@ def ground_truth_satisfying(
     space = source.space
     ok = np.ones(space.n_sets, dtype=bool)
     for c in canonical.constraints:
-        table = source.table(c.metric)
-        ok &= ~np.isnan(table) & (c.sign * table <= c.bound)
+        # An unrecorded set's NaN median satisfies no constraint.
+        ok &= c.satisfied(source.table(c.metric))
     if not canonical.constraints:
         goal = source.table(canonical.goal_metric)
         ok &= ~np.isnan(goal)
@@ -424,11 +423,3 @@ def write_campaign_csv(result: CampaignResult, path: Union[str, Path]) -> None:
                 + [int(v) for v in result.heatmap[k]]
             )
 
-
-def write_campaign_summary(
-    result: CampaignResult, spec: CampaignSpec, path: Union[str, Path]
-) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(campaign_summary(result, spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -48,6 +48,7 @@ from apexopt.domain import (
     Observation,
     ParameterDef,
     ParameterSpace,
+    is_metric_value,
 )
 
 
@@ -143,20 +144,15 @@ class TraceDataset:
         return out
 
 
-def _nonfinite(metrics: Mapping[str, float]) -> list[str]:
-    """Names of the metrics whose value is NaN or infinite."""
-    return [name for name, value in metrics.items() if not math.isfinite(value)]
-
-
 def _record(run_id: str, metrics, line: int, where: str) -> TraceRecord:
-    try:
-        rec = TraceRecord(run_id=run_id, metrics=metrics, line=line)
-    except (AttributeError, TypeError, ValueError):
-        raise DatasetFormatError(f"{where}: metrics must map names to numbers") from None
-    bad = _nonfinite(rec.metrics)
+    if not isinstance(metrics, Mapping) or not all(
+        isinstance(v, float) or is_metric_value(v) for v in metrics.values()
+    ):
+        raise DatasetFormatError(f"{where}: metrics must map names to numbers")
+    bad = [name for name, value in metrics.items() if not is_metric_value(value)]
     if bad:
         raise DatasetFormatError(f"{where}: non-finite values for metrics {bad}")
-    return rec
+    return TraceRecord(run_id=run_id, metrics=metrics, line=line)
 
 
 def _params_to_index(space: ParameterSpace, params: Mapping[str, float]) -> int:
@@ -464,18 +460,12 @@ class RemoteConfig:
         return self.timeout if self.timeout is not None else 2.0 * self.trial_duration
 
 
-def remote_trial(
-    cfg: RemoteConfig,
-    params: Mapping[str, float],
-    timeout: float | None = None,
-) -> dict[str, float]:
+def remote_trial(cfg: RemoteConfig, params: Mapping[str, float]) -> dict[str, float]:
     """Submit one job, poll it to completion, and return its metrics."""
     import requests  # only the remote backend needs it (about 4 MB at import)
 
     base = cfg.endpoint.rstrip("/")
-    deadline = time.monotonic() + (
-        timeout if timeout is not None else cfg.effective_timeout
-    )
+    deadline = time.monotonic() + cfg.effective_timeout
     try:
         resp = requests.post(
             f"{base}/jobs", json={"params": dict(params)}, timeout=cfg.http_timeout
@@ -503,16 +493,16 @@ def remote_trial(
     try:
         resp = requests.get(f"{base}/jobs/{job_id}/metrics", timeout=cfg.http_timeout)
         resp.raise_for_status()
-        metrics = {str(k): float(v) for k, v in resp.json().items()}
-    except (requests.RequestException, AttributeError, TypeError, ValueError) as e:
+        metrics = {str(k): v for k, v in resp.json().items()}
+    except (requests.RequestException, AttributeError, ValueError) as e:
         raise RemoteProtocolError(f"metric retrieval failed: {e}") from e
-    bad = _nonfinite(metrics)
+    bad = [name for name, value in metrics.items() if not is_metric_value(value)]
     if bad:
         raise RemoteProtocolError(
-            f"metric retrieval failed: job {job_id} returned non-finite values "
-            f"for {bad}"
+            f"metric retrieval failed: job {job_id} returned non-finite or "
+            f"non-numeric values for {bad}"
         )
-    return metrics
+    return {name: float(value) for name, value in metrics.items()}
 
 
 class RemoteExecutor:

@@ -390,9 +390,8 @@ class TestRemoteStubProtocol:
         with pytest.raises(TrialTimeoutError):
             remote_trial(
                 RemoteConfig(endpoint=stuck, poll_interval=0.02,
-                             trial_duration=0.05),
+                             trial_duration=0.05, timeout=0.1),
                 {"n_tx": 1},
-                timeout=0.1,
             )
         elapsed = time.monotonic() - t0
         assert elapsed < 5.0

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from apexopt import evalharness
 from apexopt.cli import (
     EXIT_CONFIG,
     EXIT_EXECUTOR,
@@ -223,6 +224,11 @@ class TestExpressionWhitelist:
         {"expression": "1" + "0" * 400 + " * z[0]"},
         {"table": [1.0, 2.0, float("nan"), 4.0, 5.0, 6.0]},
         {"table": [1.0, 2.0, 3.0, 4.0, 5.0, float("inf")]},
+        # A table entry is read as a metric value: a bool or a string is
+        # not one.
+        {"table": [1.0, 2.0, 3.0, 4.0, 5.0, True]},
+        {"table": [1.0, 2.0, 3.0, 4.0, 5.0, "7"]},
+        {"table": [1.0, 2.0, 3.0, 4.0, 5.0, "high"]},
     ])
     def test_overflow_or_non_finite_value_exits_2_at_once(self, tmp_path, capsys,
                                                           metric):
@@ -321,6 +327,23 @@ class TestOptimizeCommand:
         path.write_text(yaml.safe_dump(cfg))
         out = tmp_path / "out"
         assert main(["optimize", str(path), "--out", str(out)]) == EXIT_EXECUTOR
+
+    def test_bool_metric_from_remote_exits_3(self, tmp_path, capsys, mock_testbed):
+        base = mock_testbed(metrics={"m": True})
+        cfg = {
+            "protocol": {"parameters": [{"name": "p", "values": [0, 1]}]},
+            "requirement": {"goal": {"metric": "m", "direction": "minimize"}},
+            "executor": {"kind": "remote",
+                         "remote": {"endpoint": base, "poll_interval": 0.01,
+                                    "trial_duration": 0.1}},
+            "engine": {"n_init": 2},
+            "termination": {"max_trials": 3},
+        }
+        path = tmp_path / "remote.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "out"
+        assert main(["optimize", str(path), "--out", str(out)]) == EXIT_EXECUTOR
+        assert "non-numeric values for ['m']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("trial_duration", math.nan), ("timeout", math.nan),
@@ -601,6 +624,15 @@ class TestCampaignCommand:
         assert summary["approach"] == "ger"
         assert summary["iterations"] + summary["failures"] == 2
 
+    def test_help_lists_the_approaches(self, capsys, monkeypatch):
+        # Wide enough that argparse does not break "rl-any" at its hyphen.
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit):
+            main(["campaign", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        listed = re.search(r"--approach APPROACH (.*?) --iterations", text).group(1)
+        assert listed.split(" | ") == list(evalharness.APPROACHES)
+
     def test_invalid_approach_is_config_error(self, config_file):
         assert main(["campaign", config_file(), "--approach", "magic"]) == EXIT_CONFIG
 
@@ -652,6 +684,17 @@ class TestValidateCommand:
     def test_unreadable_file_is_config_error(self, tmp_path):
         assert main(["validate-dataset", str(tmp_path / "missing.jsonl")]) \
             == EXIT_CONFIG
+
+    @pytest.mark.parametrize("value", ["true", '"7"'])
+    def test_bool_or_string_metric_exits_2(self, tmp_path, capsys, value):
+        header = {"header": {"parameters": [{"name": "p", "values": [0, 1]}]}}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(header) + "\n"
+                        + '{"params": {"p": 0}, "metrics": {"prr": 70.5}}\n'
+                        + f'{{"params": {{"p": 1}}, "metrics": {{"prr": {value}}}}}\n')
+        assert main(["validate-dataset", str(path)]) == EXIT_CONFIG
+        assert "bad.jsonl:3: metrics must map names to numbers" in \
+            capsys.readouterr().err
 
 
 class TestConstraintConsistency:

@@ -12,7 +12,6 @@ from apexopt.domain import (
     ConstraintSpec,
     MetricSpec,
     ParameterDef,
-    ParameterSet,
     ParameterSpace,
     Requirement,
     TerminationCriteria,
@@ -155,8 +154,7 @@ class TestCanonicalize:
 
 class TestNormalizedDistance:
     def test_identity(self, crystal_space):
-        a = crystal_space.set_at(5)
-        assert normalized_distance(crystal_space, a, a) == 0.0
+        assert normalized_distance(crystal_space, 5, 5) == 0.0
 
     def test_opposite_corners(self, crystal_space):
         assert normalized_distance(crystal_space, 0, 15) == pytest.approx(
@@ -166,8 +164,8 @@ class TestNormalizedDistance:
 
     def test_single_dimension_step(self, crystal_space):
         # tx_power -5 -> -3 over a range of 5, n_tx equal: |2/5| = 0.4.
-        a = ParameterSet((-5.0, 2.0))
-        b = ParameterSet((-3.0, 2.0))
+        a = crystal_space.index_of((-5.0, 2.0))
+        b = crystal_space.index_of((-3.0, 2.0))
         assert normalized_distance(crystal_space, a, b) == pytest.approx(0.4)
 
 

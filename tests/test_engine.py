@@ -707,7 +707,7 @@ def test_non_finite_metric_in_tell_leaves_the_engine_as_it_was():
                                     cfg.requirement.metric_names))
     choice = eng.ask()
     obs = eng.executor.run_trial(choice.index, 1)
-    for bad in (np.nan, np.inf, "12.5"):
+    for bad in (np.nan, np.inf, "12.5", True, 10**400):
         with pytest.raises(ConfigError, match="trial 1: metric 'energy'"):
             eng.tell(choice, Observation(1, choice.index, {**obs.metrics, "energy": bad}))
         assert eng.analysis.n == len(eng.trials) == 0

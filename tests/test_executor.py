@@ -239,9 +239,10 @@ class TestRemote:
 
     def test_timeout_path(self, mock_testbed):
         base = mock_testbed(mode="stuck")
-        cfg = RemoteConfig(endpoint=base, poll_interval=0.02, trial_duration=0.05)
+        cfg = RemoteConfig(endpoint=base, poll_interval=0.02, trial_duration=0.05,
+                           timeout=0.1)
         with pytest.raises(TrialTimeoutError):
-            remote_trial(cfg, {"tx_power": -5}, timeout=0.1)
+            remote_trial(cfg, {"tx_power": -5})
 
     def test_unreachable_endpoint_is_protocol_error(self):
         cfg = RemoteConfig(endpoint="http://127.0.0.1:1", poll_interval=0.01,
@@ -253,6 +254,13 @@ class TestRemote:
         base = mock_testbed(metrics={"energy": float("nan"), "prr": 92.0})
         cfg = RemoteConfig(endpoint=base, poll_interval=0.01, trial_duration=0.1)
         with pytest.raises(RemoteProtocolError, match="non-finite.*energy"):
+            remote_trial(cfg, {"tx_power": -5})
+
+    @pytest.mark.parametrize("bad", [True, "7"])
+    def test_bool_or_string_metric_is_protocol_error(self, mock_testbed, bad):
+        base = mock_testbed(metrics={"energy": bad, "prr": 92.0})
+        cfg = RemoteConfig(endpoint=base, poll_interval=0.01, trial_duration=0.1)
+        with pytest.raises(RemoteProtocolError, match="non-numeric.*energy"):
             remote_trial(cfg, {"tx_power": -5})
 
     def test_default_timeout_is_twice_trial_duration(self):
@@ -349,6 +357,15 @@ class TestDatasetIO:
         ("nan.csv", "param:p,metric:m\n0,1.0\n1,nan\n", "non-finite"),
         ("text.jsonl", '{"params": {"p": 0}, "metrics": {"m": "high"}}\n',
          "metrics must map names to numbers"),
+        # A JSON true or a numeric string is not a number either.
+        ("true.jsonl", '{"params": {"p": 0}, "metrics": {"m": true}}\n',
+         "metrics must map names to numbers"),
+        ("string.jsonl", '{"params": {"p": 0}, "metrics": {"m": "7"}}\n',
+         "metrics must map names to numbers"),
+        # An int beyond the float range is not read as one.
+        pytest.param("big.jsonl",
+                     '{"params": {"p": 0}, "metrics": {"m": 1%s}}\n' % ("0" * 400),
+                     "metrics must map names to numbers", id="big.jsonl"),
         # A malformed record or parameter value is rejected the same way.
         ("number.jsonl", '{"params": {"p": 0}, "metrics": {"m": 1.0}}\n7\n',
          "expected a JSON object"),
