@@ -483,7 +483,8 @@ def reanalyze_run_file(path: str | Path) -> list:
         metrics = _as_mapping(t.get("metrics"), f"{tpath}.metrics")
         observations.append(Observation(
             _get(t, "n", tpath, int, required=True),
-            _get(t, "set_index", tpath, int, required=True),
+            # Checked by the engine's set-index rule, as a told index is.
+            _get(t, "set_index", tpath, None, required=True),
             _present(metrics, dict.fromkeys(metrics, float), f"{tpath}.metrics"),
         ))
     return reanalyze(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -146,12 +147,10 @@ class ParameterSpace:
             )
         per_dim = []
         for d, v in zip(self.defs, values):
-            try:
-                per_dim.append(d.values.index(float(v)))
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"value {v!r} not allowed for parameter {d.name!r}"
-                ) from None
+            # A value is a number by the metric rule: not a bool or a string.
+            if not (is_metric_value(v) and float(v) in d.values):
+                raise ConfigError(f"value {v!r} not allowed for parameter {d.name!r}")
+            per_dim.append(d.values.index(float(v)))
         return int(np.ravel_multi_index(tuple(per_dim), self._sizes))
 
     def normalized(self, item: Union[int, ParameterSet, Sequence[float]]) -> np.ndarray:
@@ -324,6 +323,13 @@ def normalized_distance(space: ParameterSpace, a: int, b: int) -> float:
 def max_distance(space: ParameterSpace) -> float:
     """Diagonal of the normalized space."""
     return math.sqrt(space.dimension)
+
+
+def is_set_index(value: object, n_sets: int) -> bool:
+    """Whether ``value`` names one of ``n_sets`` sets: an int, NumPy
+    integers included, in 0..n_sets-1. A bool is not an index."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and 0 <= value < n_sets)
 
 
 def is_metric_value(value: object) -> bool:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -35,6 +34,7 @@ from apexopt.domain import (
     TerminationCriteria,
     canonicalize,
     is_metric_value,
+    is_set_index,
 )
 from apexopt.executor import DatasetExhausted, ExecutorError
 from apexopt.surrogate import GPModel, KernelConfig
@@ -285,8 +285,9 @@ class AnalysisState:
 
     A trial changes only its own set, so each update recomputes that set's
     count, target sums, median and feasibility flag and nothing else per
-    set, and folds the trial into the running target extrema; the kernel
-    rows of the sets tried are kept for the whole run.
+    set, and folds the trial into the running target extrema. The kernel
+    rows of the sets tried and the GP's Cholesky factor are kept for the
+    whole run, so the fit refactors only the rows from the trial's set on.
     """
 
     def __init__(
@@ -367,7 +368,7 @@ class AnalysisState:
                 f"observation at trial {obs.trial_index} missing metrics {missing}"
             )
         idx = obs.set_index
-        if not (isinstance(idx, numbers.Integral) and 0 <= idx < self.space.n_sets):
+        if not is_set_index(idx, self.space.n_sets):
             raise ConfigError(
                 f"observation at trial {obs.trial_index}: set_index {idx!r} is "
                 f"not one of the sets 0..{self.space.n_sets - 1}"
@@ -382,7 +383,8 @@ class AnalysisState:
         canon = self.canonical
         # Fit and predict before recording anything, so that a FitError
         # leaves the state as it was: the trial is written one past the
-        # first n buffer entries, and the per-set totals are new arrays.
+        # first n buffer entries, the per-set totals are new arrays, and
+        # the kept GP factor changes only when the fit succeeds.
         n = self._n
         values = {
             key: sign * float(obs.metrics[metric])

@@ -15,11 +15,19 @@ optimized here; the defaults follow the engine's standard configuration
 The grid and the hyperparameters are fixed for a run, so the covariance
 between two sets never changes: :class:`KernelRows` computes a set's row
 of the kernel against the whole grid once, when the set is first tried,
-and fits and grid predictions read their blocks from those rows. The
-Cholesky factor and its solves call LAPACK ``potrf``/``potrs`` directly,
-and the predictive variance takes one BLAS triangular solve (``trsm``;
-GPML Alg. 2.1). Their last bits depend on OpenBLAS's thread count, so a
-run's numerics go inside :func:`one_blas_thread`.
+and fits read their blocks from those rows. It also keeps the run's
+Cholesky factor L from one fit to the next, rows in the order the sets
+were first tried, with V = L^-1 K[tried sets, every set] and
+L^-1 [1 | per-metric set means]. A trial changes one set, so a fit
+refactors only the trailing rows from that set's row on: a new set is one
+appended row, O(m n_sets) for m distinct sets, and a repeat of the i-th
+set costs O((m - i) m n_sets) (blocked right-looking Cholesky, Golub &
+Van Loan section 4.2; each appended row is one triangular solve, GPML
+Alg. 2.1). Predictions at grid sets read V, with no solve. A fit without
+kept rows is the same refit from row 0. The factorization calls LAPACK
+``potrf`` and the solves BLAS ``trsm`` directly; their last bits depend
+on OpenBLAS's thread count, so a run's numerics go inside
+:func:`one_blas_thread`.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from typing import Any, Iterator, Mapping, Sequence, Union
 import numpy as np
 import scipy
 from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf
 
 from apexopt.domain import ConfigError, ParameterSet, ParameterSpace
 
@@ -87,7 +95,7 @@ def kernel_matrix(cfg: KernelConfig, u: np.ndarray, v: np.ndarray) -> np.ndarray
 
 
 class KernelRows:
-    """Rows of the kernel between tried sets and every set of the grid.
+    """The run's GP state: kernel rows of the tried sets and the kept factor.
 
     A set's row ``kernel_matrix(cfg, coords[[i]], coords)`` is computed
     when the set is first needed and kept; each entry is computed pair by
@@ -95,6 +103,12 @@ class KernelRows:
     block bitwise. Memory is (distinct sets tried) x n_sets: the full
     n_sets x n_sets matrix is never built. One instance serves one run
     (one space and one kernel configuration).
+
+    :meth:`refit` keeps, from one fit to the next, the Cholesky factor L of
+    the fitted sets' noisy covariance, with its rows in slot order (the
+    order in which the sets were first needed), and
+    ``L^-1 [K[fitted sets, every set] | 1 | per-metric set means]``. A fit
+    whose first changed row is i refactors rows i.. only.
     """
 
     def __init__(self, space: ParameterSpace, cfg: KernelConfig):
@@ -103,24 +117,37 @@ class KernelRows:
         self._slot = np.full(space.n_sets, -1, dtype=np.intp)
         self._rows = np.empty((0, space.n_sets))
         self._used = 0
+        # The kept factor, of the m fitted sets in ``order``: their rows of
+        # the fit's table, the metric names, the jitter, L
+        # (``lower[:m, :m]``, lower triangle), [V | w] = L^-1 [K[order,
+        # every set] | 1 | means] (``vw[:m]``) and the standardized
+        # posterior variance at every set.
+        self._order = np.empty(0, dtype=np.intp)
+        self._table = np.empty((0, 3))
+        self._keys: tuple[str, ...] = ()
+        self._jitter: float | None = None
+        self._lower = np.empty((0, 0))
+        self._vw = np.empty((0, space.n_sets + 1))
+        self._var = np.empty(0)
+        # Bumped by every refit; a model of an earlier fit is stale.
+        self.generation = 0
 
     def __len__(self) -> int:
         return self._used
 
     def _slots(self, sets: np.ndarray) -> np.ndarray:
-        new = sets[self._slot[sets] < 0]
-        if new.size:
+        slots = self._slot[sets]
+        if slots.size and np.minimum.reduce(slots) < 0:
+            new = sets[slots < 0]
             need = self._used + new.size
             if need > len(self._rows):
-                grown = np.empty((min(max(need, 2 * len(self._rows)),
-                                      self.space.n_sets), self.space.n_sets))
-                grown[: self._used] = self._rows[: self._used]
-                self._rows = grown
+                self._rows = _grown(self._rows, need, self.space.n_sets, self._used)
             coords = self.space.normalized_all()
             self._rows[self._used:need] = kernel_matrix(self.cfg, coords[new], coords)
             self._slot[new] = np.arange(self._used, need)
             self._used = need
-        return self._slot[sets]
+            slots = self._slot[sets]
+        return slots
 
     def block(self, sets: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
         """Kernel between distinct ``sets`` and ``cols`` (default: all sets)."""
@@ -129,6 +156,117 @@ class KernelRows:
             return self._rows[slots]
         return self._rows[np.ix_(slots, cols)]
 
+    def refit(self, sets: np.ndarray, table: np.ndarray, keys: tuple[str, ...]) -> None:
+        """Factor the noisy covariance of the distinct ``sets`` (ascending),
+        keeping the rows that did not change.
+
+        ``table`` has one row per set: the set, its trial count, then
+        [1 | set means] of the metrics named by ``keys``. Rows are ordered
+        by slot, so a set tried for the first time is the last row. The
+        first row i whose table row differs from the kept factor's is the
+        first refactored. With L11 kept, the trailing rows are
+        L21 = ``V[:i, sets[i:]]^T`` (no solve), L22 = chol(A22 - L21 L21^T),
+        and ``[V | w]`` of rows i.. from one triangular solve against
+        ``[K[sets[i:]] | 1 | means[i:]] - L21 [V | w][:i]``. Each fit tries
+        ``cfg.jitter`` first; a failed factorization escalates the jitter
+        tenfold and refactors from row 0, as does a factor that holds
+        another jitter or other metrics. The standardized variance at every
+        set, k** - sum V^2, is checked against the numerical floor before
+        anything is kept, so a FitError leaves the kept factor as it was.
+        """
+        perm = self._slots(sets).argsort(kind="stable")
+        order, table = sets[perm], table[perm]
+        jitter = self.cfg.jitter
+        start = self._first_changed(table, keys)
+        while (tail := self._trailing(start, order, table, jitter)) is None:
+            jitter *= 10.0
+            if jitter > MAX_JITTER:
+                raise FitError(
+                    "covariance matrix is not positive definite even with "
+                    f"jitter {MAX_JITTER:g}; training data is degenerate"
+                )
+            start = 0
+        l21, l22, vw = tail
+        n = self.space.n_sets
+        v = vw[:, :n]
+        sumsq = np.einsum("ij,ij->j", v, v)
+        if start:
+            v = self._vw[:start, :n]
+            sumsq += np.einsum("ij,ij->j", v, v)
+        var_s = _variance_floor(self.cfg, self.cfg.signal_variance - sumsq)
+
+        # Commit: nothing above changed the kept factor.
+        m = len(order)
+        if keys != self._keys:
+            self._vw = np.empty((len(self._lower), vw.shape[1]))
+        if m > len(self._lower):
+            self._lower = _grown(self._lower, m, n, start, square=True)
+            self._vw = _grown(self._vw, m, n, start)
+        self._lower[start:m, :start] = l21
+        self._lower[start:m, start:m] = l22
+        self._vw[start:m] = vw
+        self._order, self._table = order, table
+        self._keys, self._jitter = keys, jitter
+        self._var = var_s
+        self.generation += 1
+
+    def _first_changed(self, table: np.ndarray, keys: tuple[str, ...]) -> int:
+        """The first row that differs from the kept factor's."""
+        if self._jitter != self.cfg.jitter or keys != self._keys:
+            return 0
+        k = min(len(table), len(self._table))
+        if not k:
+            return 0
+        differ = (table[:k] != self._table[:k]).ravel()
+        first = int(differ.argmax())
+        return first // table.shape[1] if differ[first] else k
+
+    def _trailing(self, start: int, order: np.ndarray, table: np.ndarray,
+                  jitter: float):
+        """(L21, L22, [V | w]) of rows ``start..``; None when L22 does not
+        exist. Reads the kept factor and writes nothing to it."""
+        tail = order[start:]
+        k_tail = self._rows[self._slot[tail]]
+        # Row i is the mean of counts[i] readings of one set, so its noise
+        # (and the jitter that stands in for noise) is divided by the count.
+        a22 = k_tail[:, tail]
+        a22.flat[:: len(tail) + 1] += (self.cfg.noise_variance + jitter) / table[start:, 1]
+        b = np.concatenate((k_tail, table[start:, 2:]), axis=1)
+        l21 = self._vw[:start, tail].T
+        if start:
+            a22 -= l21 @ l21.T
+            b -= l21 @ self._vw[:start]
+        l22 = _cholesky(a22)
+        if l22 is None:
+            return None
+        # b L22^-T on the transposed, Fortran-ordered b: no copy.
+        return l21, l22, dtrsm(1.0, l22, b.T, side=1, lower=1, trans_a=1,
+                               overwrite_b=1).T
+
+
+def _grown(buf: np.ndarray, need: int, n_sets: int, keep: int,
+           square: bool = False) -> np.ndarray:
+    """A buffer of at least ``need`` rows (doubling, at most n_sets) whose
+    first ``keep`` rows (and columns, for a square one) are ``buf``'s."""
+    rows = min(max(need, 2 * len(buf)), n_sets)
+    grown = np.empty((rows, rows if square else buf.shape[1]))
+    if square:
+        grown[:keep, :keep] = buf[:keep, :keep]
+    else:
+        grown[:keep] = buf[:keep]
+    return grown
+
+
+def _variance_floor(cfg: KernelConfig, var_s: np.ndarray) -> np.ndarray:
+    """Standardized variances clamped at 0: the one variance floor. A value
+    below -1e-6 signal variances means the factor is unreliable."""
+    if np.minimum.reduce(var_s) < -1e-6 * cfg.signal_variance:
+        raise FitError(
+            "predicted variance fell below the numerical floor; "
+            "covariance factorization is unreliable"
+        )
+    return np.maximum(var_s, 0.0)
+
 
 def _check_finite(a: np.ndarray) -> None:
     if not np.isfinite(a).all():
@@ -136,23 +274,14 @@ def _check_finite(a: np.ndarray) -> None:
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of ``a``; None when it is not positive definite."""
-    _check_finite(a)
+    """Lower Cholesky factor of ``a``; None when it is not positive definite.
+    ``a`` is built from kernel rows and finite targets, so it is finite."""
     c, info = dpotrf(a, lower=1, clean=0)
     if info > 0:
         return None
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of potrf")
     return c
-
-
-def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = b for the lower factor L in ``c``."""
-    _check_finite(b)
-    x, info = dpotrs(c, b, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of potrs")
-    return x
 
 
 # NumPy and SciPy wheels each bundle their own OpenBLAS, with its own
@@ -204,11 +333,12 @@ def one_blas_thread() -> Iterator[None]:
 
 
 class GPModel:
-    """A fitted GP for one metric: the distinct sets tried, their mean
-    targets and the Cholesky factor of their noisy covariance.
+    """A fitted GP for one metric: the distinct sets tried (ascending),
+    their mean targets and the target standardization.
 
-    Immutable after construction; predictions are pure. The rows of its
-    training sets are in the shared kernel rows from the fit on.
+    Predictions read the kept factor of the fit's kernel rows, so a model
+    is valid until the next fit on the same rows; predicting from it after
+    that raises RuntimeError.
     """
 
     def __init__(
@@ -217,73 +347,61 @@ class GPModel:
         train_sets: np.ndarray,
         set_means: np.ndarray,
         cfg: KernelConfig,
-        factor: np.ndarray,
         y_mean: float,
         y_std: float,
         rows: KernelRows,
+        column: int,
     ):
         self.space = space
         self.train_sets = train_sets
         self.set_means = set_means
         self.cfg = cfg
-        self._factor = factor
         self.y_mean = y_mean
         self.y_std = y_std
         self._rows = rows
-        self._alpha = _cho_solve(factor, (set_means - y_mean) / y_std)
+        self._column = column
+        self._generation = rows.generation
 
-    def _posterior(self, k_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and variance (metric units) from the train-by-query kernel.
+    def _kept(self) -> KernelRows:
+        """The kernel rows, holding this model's fit."""
+        if self._rows.generation != self._generation:
+            raise RuntimeError("GP model is stale: its kernel rows were refitted")
+        return self._rows
 
-        The variance is k** - v^T v with v = L^-1 k* (GPML Alg. 2.1): one
-        triangular solve instead of the two of a full Cholesky solve.
+    def _posterior(self, v: np.ndarray, var_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and variance (metric units) from v = L^-1 k* and the
+        standardized variance k** - v^T v (GPML Alg. 2.1).
+
+        With w = L^-1 [1 | set means], the mean is
+        y_mean + v^T (w_y - y_mean w_1); y_std cancels out of it.
         """
-        mean_s = k_star.T @ self._alpha
-        _check_finite(k_star)
-        v = dtrsm(1.0, self._factor, k_star, lower=1)
-        var_s = self.cfg.signal_variance - np.sum(v * v, axis=0)
-        floor = -1e-6 * self.cfg.signal_variance
-        if np.any(var_s < floor):
-            raise FitError(
-                "predicted variance fell below the numerical floor; "
-                "covariance factorization is unreliable"
-            )
-        var_s = np.maximum(var_s, 0.0)  # the one variance floor
-        mean = self.y_mean + self.y_std * mean_s
-        var = self.y_std**2 * var_s
-        return mean, var
+        w = self._rows._vw[: len(v), self.space.n_sets:]
+        mean = self.y_mean + v.T @ (w[:, self._column] - self.y_mean * w[:, 0])
+        return mean, self.y_std**2 * var_s
 
     def predict_coords(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance (metric units) at (m, b) coordinates."""
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        train_coords = self.space.normalized_all()[self.train_sets]
-        return self._posterior(kernel_matrix(self.cfg, train_coords, coords))
+        rows = self._kept()
+        m = len(rows._order)
+        train_coords = self.space.normalized_all()[rows._order]
+        k_star = kernel_matrix(self.cfg, train_coords, coords)
+        _check_finite(k_star)
+        v = dtrsm(1.0, rows._lower[:m, :m], k_star, lower=1)
+        var_s = self.cfg.signal_variance - np.sum(v * v, axis=0)
+        return self._posterior(v, _variance_floor(self.cfg, var_s))
 
     def predict_sets(self, indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and variance (metric units) at grid sets."""
         cols = np.asarray(indices, dtype=int)
-        return self._posterior(self._rows.block(self.train_sets, cols))
+        rows = self._kept()
+        return self._posterior(rows._vw[: len(rows._order), cols], rows._var[cols])
 
     def predict_all(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._posterior(self._rows.block(self.train_sets))
-
-
-def _factorize(cfg: KernelConfig, k: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Cholesky of k + diag((noise + jitter) / counts), escalating jitter.
-
-    Row i is the mean of counts[i] readings of one set, so its noise (and
-    the jitter that stands in for noise) is divided by the count.
-    """
-    jitter = cfg.jitter
-    while True:
-        factor = _cholesky(k + np.diag((cfg.noise_variance + jitter) / counts))
-        if factor is not None:
-            return factor
-        jitter *= 10.0
-        if jitter > MAX_JITTER:
-            raise FitError(
-                "covariance matrix is not positive definite even with "
-                f"jitter {MAX_JITTER:g}; training data is degenerate"
-            )
+        """Posterior mean and variance (metric units) at every grid set."""
+        rows = self._kept()
+        v = rows._vw[: len(rows._order), : self.space.n_sets]
+        return self._posterior(v, rows._var)
 
 
 def _standardize(targets: np.ndarray) -> tuple[float, float]:
@@ -336,10 +454,13 @@ def fit_many_xy(
 
     Valid because standardization affects targets only: the kernel matrix
     and its noise term live on the shared normalized-input / standardized-
-    output scale for every metric. ``rows`` is the run's kernel-row cache
-    (built for this space and ``cfg``); a fresh one is made if absent.
-    ``totals`` groups these same trials by set; without it they are
-    grouped here with ``np.unique`` and ``np.bincount``.
+    output scale for every metric. ``rows`` is the run's GP state (built
+    for this space and ``cfg``): its kernel rows and the factor it keeps
+    from the previous fit, of which only the rows that changed are
+    refactored (:meth:`KernelRows.refit`); the models of that previous fit
+    are stale from now on. Without ``rows`` a fresh state is made and every
+    row is factored. ``totals`` groups these same trials by set; without
+    it they are grouped here with ``np.unique`` and ``np.bincount``.
     """
     if rows is None:
         rows = KernelRows(space, cfg)
@@ -352,21 +473,28 @@ def fit_many_xy(
         sets, inverse, counts = np.unique(idx, return_inverse=True, return_counts=True)
     else:
         sets, counts = totals.sets, totals.counts
-    factor = _factorize(cfg, rows.block(sets, sets), counts)
-    models = {}
-    for metric, values in values_by_metric.items():
+    keys = tuple(values_by_metric)
+    # One row per set: the set, its trial count, then [1 | set means].
+    table = np.empty((len(sets), 3 + len(keys)))
+    table[:, 0] = sets
+    table[:, 1] = counts
+    table[:, 2] = 1.0
+    scales = []
+    for column, (metric, values) in enumerate(values_by_metric.items(), start=3):
         y = np.asarray(values, dtype=float)
         if y.shape != idx.shape:
             raise ConfigError(f"metric {metric!r}: wrong number of values")
         y_mean, y_std = _standardize(y)
-        if totals is None:
-            means = np.bincount(inverse, weights=y) / counts
-        else:
-            means = totals.sums[metric] / counts
-        models[metric] = GPModel(
-            space, sets, means, cfg, factor, y_mean, y_std, rows
-        )
-    return models
+        if not math.isfinite(y_mean):  # a NaN or infinite target
+            raise ValueError("array must not contain infs or NaNs")
+        sums = np.bincount(inverse, weights=y) if totals is None else totals.sums[metric]
+        np.divide(sums, counts, out=table[:, column])
+        scales.append((y_mean, y_std))
+    rows.refit(sets, table, keys)
+    return {
+        metric: GPModel(space, sets, table[:, j + 3], cfg, y_mean, y_std, rows, j + 1)
+        for j, (metric, (y_mean, y_std)) in enumerate(zip(keys, scales))
+    }
 
 
 def predict(

@@ -578,12 +578,14 @@ def _in_doc(change):
      "trial 1: set_index 16 is not one of the sets 0..15"),
     (_in_doc(lambda d: d["trials"][0].update(set_index=-1)),
      "trial 1: set_index -1 is not one of the sets 0..15"),
+    (_in_doc(lambda d: d["trials"][0].update(set_index=True)),
+     "trial 1: set_index True is not one of the sets 0..15"),
     (_in_doc(lambda d: d["trials"][0]["metrics"].update(energy=math.nan)),
      "trial 1: metric 'energy' is nan"),
 ], ids=["goal-without-direction", "text-bound", "kernel-key-typo",
         "constraint-key-typo", "text-values", "trial-without-set-index",
         "text-metric", "not-json", "set-index-99", "set-index-16",
-        "set-index-minus-1", "nan-metric"])
+        "set-index-minus-1", "set-index-true", "nan-metric"])
 def test_damaged_run_file_is_config_error_naming_the_field(run_file_doc, tmp_path,
                                                            damage, field):
     path = tmp_path / "run_result.json"
@@ -695,6 +697,16 @@ class TestValidateCommand:
         assert main(["validate-dataset", str(path)]) == EXIT_CONFIG
         assert "bad.jsonl:3: metrics must map names to numbers" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["true", '"0"'])
+    def test_bool_or_string_parameter_exits_2(self, tmp_path, capsys, value):
+        header = {"header": {"parameters": [{"name": "p", "values": [0, 1]}]}}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(header) + "\n"
+                        + '{"params": {"p": 1}, "metrics": {"prr": 70.5}}\n'
+                        + f'{{"params": {{"p": {value}}}, "metrics": {{"prr": 1.0}}}}\n')
+        assert main(["validate-dataset", str(path)]) == EXIT_CONFIG
+        assert "bad.jsonl:3: value " in capsys.readouterr().err
 
 
 class TestConstraintConsistency:

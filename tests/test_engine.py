@@ -234,6 +234,15 @@ class TestAnalysisStateUpdate:
             state.update(Observation(3, 0, {"energy": 1.0, "prr": 70.0}))
         assert state.n == 1
 
+    @pytest.mark.parametrize("set_index", [True, 1.0, -1, 16])
+    def test_update_rejects_what_is_not_a_set_index(
+            self, crystal_space, energy_prr_requirement, set_index):
+        state = AnalysisState(crystal_space, energy_prr_requirement, 0.1,
+                              KernelConfig())
+        with pytest.raises(ConfigError, match="is not one of the sets"):
+            state.update(Observation(1, set_index, {"energy": 1.0, "prr": 70.0}))
+        assert state.n == 0 and state.last is None
+
     def test_update_requires_metrics(self, crystal_space, energy_prr_requirement):
         state = AnalysisState(crystal_space, energy_prr_requirement, 0.1,
                               KernelConfig())
@@ -502,6 +511,51 @@ class TestFitError:
         assert result.terminated_by == "fit-error"
         assert "forced degenerate fit" in result.error
         assert result.n_trials == 7
+
+
+def _analysis_snapshot(state: AnalysisState) -> tuple:
+    """What a tell leaves behind: the logged values, the selectors' inputs
+    and the kept GP factor, bit for bit."""
+    rows = state._rows
+    m = len(rows._order)
+    arrays = (state.goal_mean, state.goal_std, rows._order, rows._table,
+              np.tril(rows._lower[:m, :m]), rows._vw[:m], rows._var)
+    return (state.n, state.last, dict(state.counts), dict(state.goal_medians),
+            state.kappa, state.d_n, state.d_satisfying, state.d_violating,
+            state.best_index, state.reported_index, dict(state.f_c_plus),
+            state.goal_range, list(state.trace.cumulative), rows.generation,
+            [_bits(a) for a in arrays])
+
+
+class TestFitErrorKeepsTheState:
+    def test_escalation_failure_mid_run_changes_nothing(self, crystal_space,
+                                                        energy_prr_requirement,
+                                                        monkeypatch):
+        rng = np.random.default_rng(8)
+        sets = [3, 9, 3, 14, 0, 9, 7, 3, 12, 9, 7, 5]
+        observations = [
+            Observation(k, idx, {"energy": float(rng.normal(150, 10)),
+                                 "prr": float(rng.normal(70, 8))})
+            for k, idx in enumerate(sets, start=1)
+        ]
+        state = AnalysisState(crystal_space, energy_prr_requirement, 0.1,
+                              KernelConfig())
+        twin = AnalysisState(crystal_space, energy_prr_requirement, 0.1,
+                             KernelConfig())
+        for obs in observations[:8]:
+            state.update(obs)
+            twin.update(obs)
+        before = _analysis_snapshot(state)
+        with monkeypatch.context() as mp:
+            # No jitter up to the ceiling makes the covariance factor.
+            mp.setattr(surrogate, "dpotrf", lambda a, **kwargs: (a, 1))
+            with pytest.raises(FitError, match="jitter"):
+                state.update(observations[8])
+        assert _analysis_snapshot(state) == before
+        # The same observation is then accepted, as if nothing had failed.
+        for obs in observations[8:]:
+            assert state.update(obs) == twin.update(obs)
+        assert _analysis_snapshot(state) == _analysis_snapshot(twin)
 
 
 class TestReanalysis:

@@ -373,6 +373,11 @@ class TestDatasetIO:
          "params must map names to values"),
         ("null.jsonl", '{"params": {"p": null}, "metrics": {"m": 1.0}}\n',
          "value None not allowed"),
+        # A parameter value follows the metric rule: a JSON number.
+        ("true-param.jsonl", '{"params": {"p": true}, "metrics": {"m": 1.0}}\n',
+         "value True not allowed"),
+        ("string-param.jsonl", '{"params": {"p": "0"}, "metrics": {"m": 1.0}}\n',
+         "value '0' not allowed"),
     ])
     def test_bad_metric_value_rejected_with_its_line(self, tmp_path, name, text,
                                                      reason):

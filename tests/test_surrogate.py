@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apexopt import surrogate
-from apexopt.domain import ConfigError, ParameterDef, ParameterSpace
+from apexopt.domain import (
+    ConfigError, ConstraintSpec, MetricSpec, Observation, ParameterDef,
+    ParameterSpace, Requirement,
+)
 from apexopt.surrogate import (
     KERNEL_MATERN52,
     KERNEL_RBF,
@@ -247,6 +250,153 @@ class TestSufficientStatistics:
         fit_xy(crystal_space, idx, [float(i) for i in range(10)])
         fit_many_xy(crystal_space, idx, {"a": [1.0] * 10, "b": list(range(10))})
         assert rows == [len(set(idx))] * 2
+
+
+def potrf_rows(monkeypatch) -> list[int]:
+    """The row count of every ``dpotrf`` call from here on."""
+    rows = []
+    real = surrogate.dpotrf
+
+    def spy(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(surrogate, "dpotrf", spy)
+    return rows
+
+
+class TestKeptFactor:
+    """The factor ``KernelRows`` keeps from one fit to the next."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(2, 8), min_size=1, max_size=3).filter(
+            lambda s: math.prod(s) <= 64),
+        seed=st.integers(0, 2**32 - 1),
+        trace=st.lists(st.tuples(st.booleans(), st.integers(0, 10**6),
+                                 st.floats(0.0, 200.0), st.floats(0.0, 100.0)),
+                       min_size=1, max_size=40),
+        kind=st.sampled_from([KERNEL_RBF, KERNEL_MATERN52]),
+        length_scale=st.floats(0.3, 2.0),
+        noise=st.floats(0.0, 0.5),
+    )
+    def test_every_update_matches_the_per_set_oracle(self, sizes, seed, trace, kind,
+                                                     length_scale, noise):
+        from apexopt.engine import AnalysisState
+
+        rng = np.random.default_rng(seed)
+        space = ParameterSpace([
+            ParameterDef(f"p{d}", tuple(np.sort(rng.choice(50, size, replace=False))
+                                        .astype(float)))
+            for d, size in enumerate(sizes)
+        ])
+        cfg = KernelConfig(kind=kind, length_scale=length_scale,
+                           noise_variance=noise, jitter=1e-6)
+        req = Requirement(goal=MetricSpec("energy", "minimize"),
+                          constraints=(ConstraintSpec("prr", ">=", 50.0, 0.5),))
+        state = AnalysisState(space, req, 0.1, cfg)
+        tried: list[int] = []
+        goal: list[float] = []
+        constraint: list[float] = []
+        every_set = range(space.n_sets)
+        for n, (repeat, pick, energy, prr) in enumerate(trace, start=1):
+            # A repeat of a tried set, or any set (often a new one).
+            idx = tried[pick % len(tried)] if repeat and tried else pick % space.n_sets
+            state.update(Observation(n, idx, {"energy": energy, "prr": prr}))
+            tried.append(idx)
+            goal.append(energy)
+            constraint.append(-prr)
+            for (mean, var), values in (
+                ((state.goal_mean, state.goal_std**2), goal),
+                (state.constraint_models["prr"].predict_all(), constraint),
+            ):
+                o_mean, o_var = per_set_mean_oracle(space, tried, values, cfg, every_set)
+                np.testing.assert_allclose(mean, o_mean, rtol=1e-8,
+                                           atol=1e-8 * np.abs(o_mean).max())
+                np.testing.assert_allclose(var, o_var, rtol=1e-8,
+                                           atol=1e-8 * o_var.max())
+
+    def test_a_fit_factors_only_the_rows_from_the_changed_set_on(
+            self, crystal_space, monkeypatch):
+        factored = potrf_rows(monkeypatch)
+        rows = KernelRows(crystal_space, KernelConfig())
+        trials = []
+        # Sets 3, 7, 1 and 12 take rows 0..3 in the order they are first tried.
+        for idx, rows_factored in ((3, 1), (7, 1), (1, 1), (12, 1),
+                                   (7, 3), (3, 4), (12, 1), (5, 1), (1, 3)):
+            trials.append(idx)
+            factored.clear()
+            fit_many_xy(crystal_space, trials, {"m": [float(i) for i in trials]},
+                        KernelConfig(), rows=rows)
+            assert factored == [rows_factored], (idx, factored)
+        factored.clear()
+        fit_xy(crystal_space, trials, [float(i) for i in trials])
+        assert factored == [len(set(trials))]
+
+    def test_only_changed_rows_are_refactored_for_any_caller(self, crystal_space,
+                                                                 monkeypatch):
+        rows = KernelRows(crystal_space, KernelConfig())
+        fit_many_xy(crystal_space, [4, 9, 2], {"m": [1.0, 5.0, 2.0]}, KernelConfig(),
+                    rows=rows)
+        factored = potrf_rows(monkeypatch)
+        again = fit_many_xy(crystal_space, [4, 9, 2], {"m": [1.0, 5.0, 2.0]},
+                            KernelConfig(), rows=rows)["m"]
+        # Sets first needed together take their rows in ascending order.
+        fewer = fit_many_xy(crystal_space, [2, 4], {"m": [2.0, 1.0]},
+                            KernelConfig(), rows=rows)["m"]
+        assert factored == [0, 0]
+        with pytest.raises(RuntimeError, match="stale"):
+            again.predict_all()
+        np.testing.assert_allclose(
+            fewer.predict_all()[0],
+            per_set_mean_oracle(crystal_space, [2, 4], [2.0, 1.0], KernelConfig(),
+                                range(16))[0], rtol=1e-10)
+        # The same sets and counts with another mean: that row on.
+        moved = fit_many_xy(crystal_space, [2, 4], {"m": [2.0, 3.0]},
+                            KernelConfig(), rows=rows)["m"]
+        assert factored == [0, 0, 1]
+        with pytest.raises(RuntimeError, match="stale"):
+            fewer.predict_all()
+        mean, var = moved.predict_all()
+        o_mean, o_var = per_set_mean_oracle(crystal_space, [2, 4], [2.0, 3.0],
+                                            KernelConfig(), range(16))
+        np.testing.assert_allclose(mean, o_mean, rtol=1e-10)
+        np.testing.assert_allclose(var, o_var, rtol=1e-10)
+
+    def test_a_model_is_stale_after_the_next_fit_on_its_rows(self, crystal_space):
+        rows = KernelRows(crystal_space, KernelConfig())
+        first = fit_many_xy(crystal_space, [0, 5], {"m": [1.0, 2.0]}, KernelConfig(),
+                            rows=rows)["m"]
+        own = fit_xy(crystal_space, [0, 5], [1.0, 2.0])
+        before = own.predict_all()
+        fit_many_xy(crystal_space, [0, 5, 5], {"m": [1.0, 2.0, 4.0]}, KernelConfig(),
+                    rows=rows)
+        for predict_one in (first.predict_all, lambda: first.predict_sets([1]),
+                            lambda: predict(first, 1)):
+            with pytest.raises(RuntimeError, match="stale"):
+                predict_one()
+        # A model on rows of its own is not touched by that fit.
+        assert all(np.array_equal(a, b) for a, b in zip(own.predict_all(), before))
+
+    def test_escalation_past_the_ceiling_keeps_the_factor(self, crystal_space,
+                                                          monkeypatch):
+        rows = KernelRows(crystal_space, KernelConfig())
+        fit_many_xy(crystal_space, [2, 8, 2], {"m": [1.0, 3.0, 2.0]}, KernelConfig(),
+                    rows=rows)
+        kept = {k: np.copy(v) for k, v in vars(rows).items()
+                if isinstance(v, np.ndarray)}
+        generation = rows.generation
+        tries = []
+        monkeypatch.setattr(surrogate, "dpotrf",
+                            lambda a, **kw: (tries.append(a.shape[0]) or a, 1))
+        with pytest.raises(surrogate.FitError, match="jitter"):
+            fit_many_xy(crystal_space, [2, 8, 2, 8], {"m": [1.0, 3.0, 2.0, 5.0]},
+                        KernelConfig(), rows=rows)
+        # cfg.jitter on the trailing rows, then 1e-7 .. 1e-4 on every row.
+        assert tries == [1, 2, 2, 2, 2]
+        assert rows.generation == generation
+        for name, value in kept.items():
+            assert np.array_equal(getattr(rows, name), value), name
 
 
 class TestFitPredict:

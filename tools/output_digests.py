@@ -23,7 +23,8 @@ equal outputs exactly when they print the same lines:
 ``--root`` names the checkout whose ``src/`` and configs are run; it
 defaults to the one holding this script. A checkout older than
 ``tools/every_key.yaml`` or ``tools/constraint_finding.yaml`` needs a
-copy of that file.
+copy of that file. ``--keep DIR`` writes the runs into ``DIR`` (which must
+not exist yet) and leaves them there, for ``tools/compare_outputs.py``.
 """
 
 from __future__ import annotations
@@ -100,20 +101,32 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parent.parent,
                         help="checkout to run (default: this one)")
+    parser.add_argument("--keep", type=Path, default=None,
+                        help="new directory to write the runs into and keep")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     if not (root / "src" / "apexopt" / "cli.py").is_file():
         parser.error(f"no apexopt sources under {root / 'src'}")
+    if args.keep is not None:
+        if args.keep.exists():
+            parser.error(f"{args.keep} already exists")
+        args.keep.mkdir(parents=True)
+        digest_runs(root, args.keep)
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
-        with ThreadPoolExecutor(max_workers=JOBS) as pool:
-            for future in [pool.submit(run_one, root, run_dir, cli_args)
-                           for run_dir, cli_args in runs(root, out)]:
-                future.result()
-        for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{digest}  {path.relative_to(out).as_posix()}")
+        digest_runs(root, Path(tmp))
     return 0
+
+
+def digest_runs(root: Path, out: Path) -> None:
+    """Run the matrix into ``out`` and print one digest line per file."""
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
+        for future in [pool.submit(run_one, root, run_dir, cli_args)
+                       for run_dir, cli_args in runs(root, out)]:
+            future.result()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out).as_posix()}")
 
 
 if __name__ == "__main__":
