@@ -103,7 +103,7 @@ _GRID_DENOMS = np.expm1(-_GRID)[:, None]
 # optimality_alpha fits on x = arange(n) / (n - 1), so its grid curve
 # matrix depends on n alone. The matrices for n <= _CURVE_CACHE_MAX_N are
 # kept, at 200 * 8 * n bytes each: 1.88 MB for n = 3..48. A longer trace
-# builds its matrix on each call, as fit_saturating_exponential does.
+# builds its matrix on each call.
 _CURVE_CACHE_MAX_N = 48
 _curve_cache: dict[int, np.ndarray] = {}
 
@@ -196,17 +196,13 @@ def minimize_bounded(
     return xf, fx
 
 
-def fit_saturating_exponential(x: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares rate of y = (1-exp(-bx))/(1-exp(-b)) on [0,1] data.
+def _fit_on_grid(x: np.ndarray, y: np.ndarray, curves: np.ndarray) -> float:
+    """Least-squares rate of y = (1-exp(-bx))/(1-exp(-b)) on [0,1] data,
+    given ``curves`` = _grid_curves(x).
 
     A coarse log-spaced grid is refined with a bounded scalar minimizer
     around the best grid cell.
     """
-    return _fit_on_grid(x, y, _grid_curves(x))
-
-
-def _fit_on_grid(x: np.ndarray, y: np.ndarray, curves: np.ndarray) -> float:
-    # fit_saturating_exponential, given ``curves`` = _grid_curves(x).
     residuals = curves - y
     errors = np.einsum("ij,ij->i", residuals, residuals)
     best = int(np.argmin(errors))

@@ -284,10 +284,12 @@ class AnalysisState:
     trial's logged ``Confidence`` record.
 
     A trial changes only its own set, so each update recomputes that set's
-    count, target sums, median and feasibility flag and nothing else per
-    set, and folds the trial into the running target extrema. The kernel
-    rows of the sets tried and the GP's Cholesky factor are kept for the
-    whole run, so the fit refactors only the rows from the trial's set on.
+    median and feasibility flag and nothing else per set, rebuilds the
+    candidate pools only when the set enters them or changes pool, and
+    folds the trial into the running target extrema. The GP state
+    (:class:`surrogate.KernelRows`) is kept for the whole run and owns the
+    per-set trial counts and target sums; each fit folds in the one new
+    trial and refactors only the rows from the trial's set on.
     """
 
     def __init__(
@@ -312,10 +314,7 @@ class AnalysisState:
         self._n = 0
         self._trial_sets = np.empty(64, dtype=np.intp)
         self._targets = {key: np.empty(64) for key in self._target_defs}
-        # Per set: trial count, target sums in trial order, and whether
-        # the constraint medians violate.
-        self._set_counts = np.zeros(space.n_sets, dtype=np.intp)
-        self._set_sums = {key: np.zeros(space.n_sets) for key in self._target_defs}
+        # Per set: whether the constraint medians violate.
         self._violating = np.zeros(space.n_sets, dtype=bool)
         # Running extrema of the targets.
         self._target_min = {key: math.inf for key in self._target_defs}
@@ -383,8 +382,8 @@ class AnalysisState:
         canon = self.canonical
         # Fit and predict before recording anything, so that a FitError
         # leaves the state as it was: the trial is written one past the
-        # first n buffer entries, the per-set totals are new arrays, and
-        # the kept GP factor changes only when the fit succeeds.
+        # first n buffer entries, and the kept GP state changes only when
+        # the fit succeeds.
         n = self._n
         values = {
             key: sign * float(obs.metrics[metric])
@@ -397,29 +396,16 @@ class AnalysisState:
         self._trial_sets[n] = idx
         for key, value in values.items():
             self._targets[key][n] = value
-        set_counts = self._set_counts.copy()
-        set_counts[idx] += 1
-        set_sums = {}
-        for key, value in values.items():
-            set_sums[key] = self._set_sums[key].copy()
-            set_sums[key][idx] += value
-        sets = np.flatnonzero(set_counts)
-        totals = surrogate.SetTotals(
-            sets, set_counts[sets], {key: s[sets] for key, s in set_sums.items()}
-        )
         models = surrogate.fit_many_xy(
             self.space,
             self._trial_sets[: n + 1],
             {key: b[: n + 1] for key, b in self._targets.items()},
             self.kernel,
             rows=self._rows,
-            totals=totals,
         )
         goal_mean, goal_var = models["goal"].predict_all()
 
         self._n = n + 1
-        self._set_counts = set_counts
-        self._set_sums = set_sums
         self._target_min = {
             key: min(low, values[key]) for key, low in self._target_min.items()
         }
@@ -433,13 +419,16 @@ class AnalysisState:
         for metric, sorted_values in readings.items():
             bisect.insort(sorted_values, obs.metrics[metric])
         goal_sorted = readings[canon.goal_metric]
+        first = idx not in self.counts
         self.counts[idx] = len(goal_sorted)
         self.goal_medians[idx] = canon.goal_sign * sorted_median(goal_sorted)
-        self._violating[idx] = not all(
+        violating = not all(
             c.satisfied(sorted_median(readings[c.metric]))
             for c in canon.constraints
         )
-        self.d_n, self.d_satisfying, self.d_violating = self._split()
+        if first or violating != self._violating[idx]:
+            self._violating[idx] = violating
+            self.d_n, self.d_satisfying, self.d_violating = self._split()
 
         prev_index, prev_value = self.best_index, self.best_value
         best, reported = current_best(
@@ -500,7 +489,7 @@ class AnalysisState:
         vio = self._violating
         return (
             tuple(np.flatnonzero(~vio).tolist()),
-            tuple(np.flatnonzero((self._set_counts > 0) & ~vio).tolist()),
+            tuple(np.flatnonzero(self._rows.tried() & ~vio).tolist()),
             tuple(np.flatnonzero(vio).tolist()),
         )
 

@@ -12,19 +12,22 @@ of distinct sets tried, not on the trial count. Hyperparameters are never
 optimized here; the defaults follow the engine's standard configuration
 (RBF kernel, length scale 1 on normalized coordinates).
 
-The grid and the hyperparameters are fixed for a run, so the covariance
-between two sets never changes: :class:`KernelRows` computes a set's row
-of the kernel against the whole grid once, when the set is first tried,
-and fits read their blocks from those rows. It also keeps the run's
-Cholesky factor L from one fit to the next, rows in the order the sets
-were first tried, with V = L^-1 K[tried sets, every set] and
-L^-1 [1 | per-metric set means]. A trial changes one set, so a fit
-refactors only the trailing rows from that set's row on: a new set is one
-appended row, O(m n_sets) for m distinct sets, and a repeat of the i-th
-set costs O((m - i) m n_sets) (blocked right-looking Cholesky, Golub &
-Van Loan section 4.2; each appended row is one triangular solve, GPML
-Alg. 2.1). Predictions at grid sets read V, with no solve. A fit without
-kept rows is the same refit from row 0. The factorization calls LAPACK
+:class:`KernelRows` is the run's GP state and the one owner of the
+per-set statistics. A fit passes the whole trial trace, which only ever
+grows; the state folds in the trials it has not seen, adding each to its
+set's trial count and target sums. The grid and the hyperparameters are
+fixed for a run, so the covariance between two sets never changes: a
+set's row of the kernel against the whole grid is computed once, when the
+set is first tried. The state also keeps the run's Cholesky factor L from
+one fit to the next, rows in the order the sets were first tried, with
+V = L^-1 K[tried sets, every set] and L^-1 [1 | per-metric set means].
+A trial changes one set, so a fit refactors only the trailing rows from
+that set's row on: a new set is one appended row, O(m n_sets) for m
+distinct sets, and a repeat of the i-th set costs O((m - i) m n_sets)
+(blocked right-looking Cholesky, Golub & Van Loan section 4.2; each
+appended row is one triangular solve, GPML Alg. 2.1). Predictions at grid
+sets read V, with no solve. A fit without kept rows folds every trial
+into a fresh state and factors from row 0. The factorization calls LAPACK
 ``potrf`` and the solves BLAS ``trsm`` directly; their last bits depend
 on OpenBLAS's thread count, so a run's numerics go inside
 :func:`one_blas_thread`.
@@ -38,7 +41,7 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence, Union
+from typing import Any, Iterator, Sequence, Union
 
 import numpy as np
 import scipy
@@ -95,90 +98,111 @@ def kernel_matrix(cfg: KernelConfig, u: np.ndarray, v: np.ndarray) -> np.ndarray
 
 
 class KernelRows:
-    """The run's GP state: kernel rows of the tried sets and the kept factor.
+    """The run's GP state: its trials grouped by set, the kernel rows of the
+    sets tried and the kept Cholesky factor.
 
-    A set's row ``kernel_matrix(cfg, coords[[i]], coords)`` is computed
-    when the set is first needed and kept; each entry is computed pair by
-    pair, so any block read from the rows equals ``kernel_matrix`` on that
-    block bitwise. Memory is (distinct sets tried) x n_sets: the full
-    n_sets x n_sets matrix is never built. One instance serves one run
-    (one space and one kernel configuration).
+    It is the one owner of the per-set statistics. Rows are in slot order,
+    the order in which the sets were first tried, and per row it keeps the
+    set, its trial count, its per-metric target sums (accumulated in trial
+    order from 0.0, the bits ``np.bincount`` gives), its row
+    ``kernel_matrix(cfg, coords[[set]], coords)`` against the whole grid
+    (each entry computed pair by pair, so any block read from the rows
+    equals ``kernel_matrix`` on that block bitwise), the Cholesky factor L
+    of the sets' noisy covariance and ``[V | w] = L^-1 [K[sets, every set]
+    | 1 | per-metric set means]``. Memory is (distinct sets tried) x
+    n_sets: the full n_sets x n_sets matrix is never built. One instance
+    serves one run (one space and one kernel configuration).
 
-    :meth:`refit` keeps, from one fit to the next, the Cholesky factor L of
-    the fitted sets' noisy covariance, with its rows in slot order (the
-    order in which the sets were first needed), and
-    ``L^-1 [K[fitted sets, every set] | 1 | per-metric set means]``. A fit
-    whose first changed row is i refactors rows i.. only.
+    The trace is append-only: each :meth:`refit` passes every trial of the
+    previous one, in the same order and under the same metric names, and
+    only the trials past those are folded in.
     """
 
     def __init__(self, space: ParameterSpace, cfg: KernelConfig):
         self.space = space
         self.cfg = cfg
+        # Each set's slot, -1 until it is tried.
         self._slot = np.full(space.n_sets, -1, dtype=np.intp)
-        self._rows = np.empty((0, space.n_sets))
-        self._used = 0
-        # The kept factor, of the m fitted sets in ``order``: their rows of
-        # the fit's table, the metric names, the jitter, L
-        # (``lower[:m, :m]``, lower triangle), [V | w] = L^-1 [K[order,
-        # every set] | 1 | means] (``vw[:m]``) and the standardized
-        # posterior variance at every set.
+        # Per slot: the set and [trial count | per-metric target sums].
         self._order = np.empty(0, dtype=np.intp)
-        self._table = np.empty((0, 3))
+        self._totals = np.empty((0, 1))
+        self._folded = 0
         self._keys: tuple[str, ...] = ()
-        self._jitter: float | None = None
+        # Buffers with a row per slot: the kernel rows, L (``lower[:m, :m]``,
+        # lower triangle) and [V | w]; then the jitter L was built with and
+        # the standardized posterior variance at every set.
+        self._rows = np.empty((0, space.n_sets))
         self._lower = np.empty((0, 0))
         self._vw = np.empty((0, space.n_sets + 1))
+        self._jitter: float | None = None
         self._var = np.empty(0)
         # Bumped by every refit; a model of an earlier fit is stale.
         self.generation = 0
 
     def __len__(self) -> int:
-        return self._used
+        return len(self._order)
 
-    def _slots(self, sets: np.ndarray) -> np.ndarray:
-        slots = self._slot[sets]
-        if slots.size and np.minimum.reduce(slots) < 0:
-            new = sets[slots < 0]
-            need = self._used + new.size
-            if need > len(self._rows):
-                self._rows = _grown(self._rows, need, self.space.n_sets, self._used)
-            coords = self.space.normalized_all()
-            self._rows[self._used:need] = kernel_matrix(self.cfg, coords[new], coords)
-            self._slot[new] = np.arange(self._used, need)
-            self._used = need
-            slots = self._slot[sets]
-        return slots
+    def tried(self) -> np.ndarray:
+        """Whether each set has been tried, as a boolean array."""
+        return self._slot >= 0
 
-    def block(self, sets: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
-        """Kernel between distinct ``sets`` and ``cols`` (default: all sets)."""
-        slots = self._slots(sets)
-        if cols is None:
-            return self._rows[slots]
-        return self._rows[np.ix_(slots, cols)]
+    def refit(self, set_indices: np.ndarray, targets: Sequence[np.ndarray],
+              keys: tuple[str, ...]) -> None:
+        """Fold the trials past those already held and refactor the rows
+        they change.
 
-    def refit(self, sets: np.ndarray, table: np.ndarray, keys: tuple[str, ...]) -> None:
-        """Factor the noisy covariance of the distinct ``sets`` (ascending),
-        keeping the rows that did not change.
-
-        ``table`` has one row per set: the set, its trial count, then
-        [1 | set means] of the metrics named by ``keys``. Rows are ordered
-        by slot, so a set tried for the first time is the last row. The
-        first row i whose table row differs from the kept factor's is the
-        first refactored. With L11 kept, the trailing rows are
-        L21 = ``V[:i, sets[i:]]^T`` (no solve), L22 = chol(A22 - L21 L21^T),
-        and ``[V | w]`` of rows i.. from one triangular solve against
-        ``[K[sets[i:]] | 1 | means[i:]] - L21 [V | w][:i]``. Each fit tries
-        ``cfg.jitter`` first; a failed factorization escalates the jitter
-        tenfold and refactors from row 0, as does a factor that holds
-        another jitter or other metrics. The standardized variance at every
-        set, k** - sum V^2, is checked against the numerical floor before
-        anything is kept, so a FitError leaves the kept factor as it was.
+        ``set_indices`` and ``targets`` (one array per metric named by
+        ``keys``) are the whole trace. A new set takes the next slot, so
+        the first refactored row i is the lowest slot a new trial touches,
+        or 0 when the kept factor holds another jitter. With L11 kept, the
+        trailing rows are L21 = ``V[:i, sets[i:]]^T`` (no solve),
+        L22 = chol(A22 - L21 L21^T), and ``[V | w]`` of rows i.. from one
+        triangular solve against ``[K[sets[i:]] | 1 | means[i:]] - L21
+        [V | w][:i]``. Each fit tries ``cfg.jitter`` first; a failed
+        factorization escalates the jitter tenfold and refactors from
+        row 0. The standardized variance at every set, k** - sum V^2, is
+        checked against the numerical floor before anything is kept, so a
+        FitError (or a ConfigError) leaves the state as it was.
         """
-        perm = self._slots(sets).argsort(kind="stable")
-        order, table = sets[perm], table[perm]
+        done, m = self._folded, len(self._order)
+        if len(set_indices) < done or (done and keys != self._keys):
+            raise ConfigError(
+                f"kernel rows hold {done} trials of {list(self._keys)}; a fit "
+                "on them must pass those trials and may only add more"
+            )
+        # The new trials, one at a time: [count | sums] per slot touched.
+        n_sets = self.space.n_sets
+        columns = [y[done:].tolist() for y in targets]
+        added: dict[int, int] = {}
+        touched: dict[int, list[float]] = {}
+        for t, s in enumerate(set_indices[done:].tolist()):
+            if not 0 <= s < n_sets:
+                raise ConfigError(f"set index {s} is not one of the sets 0..{n_sets - 1}")
+            slot = int(self._slot[s])
+            if slot < 0:
+                slot = added.setdefault(s, m + len(added))
+            acc = touched.get(slot)
+            if acc is None:
+                acc = touched[slot] = (self._totals[slot].tolist() if slot < m
+                                       else [0.0] * (1 + len(columns)))
+            acc[0] += 1.0
+            for j, column in enumerate(columns, start=1):
+                acc[j] += column[t]
+        totals = np.empty((m + len(added), 1 + len(columns)))
+        if m:
+            totals[:m] = self._totals
+        for slot, acc in touched.items():
+            totals[slot] = acc
+        order, k_new = self._order, None
+        if added:
+            new = np.fromiter(added, dtype=np.intp, count=len(added))
+            order = np.concatenate((order, new))
+            coords = self.space.normalized_all()
+            k_new = kernel_matrix(self.cfg, coords[new], coords)
+
         jitter = self.cfg.jitter
-        start = self._first_changed(table, keys)
-        while (tail := self._trailing(start, order, table, jitter)) is None:
+        start = min(touched, default=m) if self._jitter == jitter else 0
+        while (tail := self._trailing(start, order, totals, k_new, jitter)) is None:
             jitter *= 10.0
             if jitter > MAX_JITTER:
                 raise FitError(
@@ -187,51 +211,49 @@ class KernelRows:
                 )
             start = 0
         l21, l22, vw = tail
-        n = self.space.n_sets
-        v = vw[:, :n]
+        v = vw[:, :n_sets]
         sumsq = np.einsum("ij,ij->j", v, v)
         if start:
-            v = self._vw[:start, :n]
+            v = self._vw[:start, :n_sets]
             sumsq += np.einsum("ij,ij->j", v, v)
         var_s = _variance_floor(self.cfg, self.cfg.signal_variance - sumsq)
 
-        # Commit: nothing above changed the kept factor.
-        m = len(order)
+        # Commit: nothing above changed the kept state.
+        m_new = len(order)
         if keys != self._keys:
             self._vw = np.empty((len(self._lower), vw.shape[1]))
-        if m > len(self._lower):
-            self._lower = _grown(self._lower, m, n, start, square=True)
-            self._vw = _grown(self._vw, m, n, start)
-        self._lower[start:m, :start] = l21
-        self._lower[start:m, start:m] = l22
-        self._vw[start:m] = vw
-        self._order, self._table = order, table
-        self._keys, self._jitter = keys, jitter
+        if m_new > len(self._lower):
+            self._rows = _grown(self._rows, m_new, n_sets, m)
+            self._lower = _grown(self._lower, m_new, n_sets, start, square=True)
+            self._vw = _grown(self._vw, m_new, n_sets, start)
+        if added:
+            self._rows[m:m_new] = k_new
+            self._slot[new] = np.arange(m, m_new)
+        self._lower[start:m_new, :start] = l21
+        self._lower[start:m_new, start:m_new] = l22
+        self._vw[start:m_new] = vw
+        self._order, self._totals = order, totals
+        self._folded, self._keys, self._jitter = len(set_indices), keys, jitter
         self._var = var_s
         self.generation += 1
 
-    def _first_changed(self, table: np.ndarray, keys: tuple[str, ...]) -> int:
-        """The first row that differs from the kept factor's."""
-        if self._jitter != self.cfg.jitter or keys != self._keys:
-            return 0
-        k = min(len(table), len(self._table))
-        if not k:
-            return 0
-        differ = (table[:k] != self._table[:k]).ravel()
-        first = int(differ.argmax())
-        return first // table.shape[1] if differ[first] else k
-
-    def _trailing(self, start: int, order: np.ndarray, table: np.ndarray,
-                  jitter: float):
+    def _trailing(self, start: int, order: np.ndarray, totals: np.ndarray,
+                  k_new: np.ndarray | None, jitter: float):
         """(L21, L22, [V | w]) of rows ``start..``; None when L22 does not
         exist. Reads the kept factor and writes nothing to it."""
+        m, n = len(self._order), self.space.n_sets
         tail = order[start:]
-        k_tail = self._rows[self._slot[tail]]
+        # b = [K[tail, every set] | 1 | set means].
+        b = np.empty((len(tail), n + totals.shape[1]))
+        b[: m - start, :n] = self._rows[start:m]
+        if k_new is not None:
+            b[m - start:, :n] = k_new
+        b[:, n] = 1.0
+        np.divide(totals[start:, 1:], totals[start:, :1], out=b[:, n + 1:])
         # Row i is the mean of counts[i] readings of one set, so its noise
         # (and the jitter that stands in for noise) is divided by the count.
-        a22 = k_tail[:, tail]
-        a22.flat[:: len(tail) + 1] += (self.cfg.noise_variance + jitter) / table[start:, 1]
-        b = np.concatenate((k_tail, table[start:, 2:]), axis=1)
+        a22 = b[:, tail]
+        a22.flat[:: len(tail) + 1] += (self.cfg.noise_variance + jitter) / totals[start:, 0]
         l21 = self._vw[:start, tail].T
         if start:
             a22 -= l21 @ l21.T
@@ -333,19 +355,17 @@ def one_blas_thread() -> Iterator[None]:
 
 
 class GPModel:
-    """A fitted GP for one metric: the distinct sets tried (ascending),
-    their mean targets and the target standardization.
+    """A fitted GP for one metric: the target standardization and a column
+    of the fit's kernel rows, which hold the sets tried and their means.
 
     Predictions read the kept factor of the fit's kernel rows, so a model
-    is valid until the next fit on the same rows; predicting from it after
-    that raises RuntimeError.
+    is valid until the next fit on the same rows; reading it after that
+    raises RuntimeError.
     """
 
     def __init__(
         self,
         space: ParameterSpace,
-        train_sets: np.ndarray,
-        set_means: np.ndarray,
         cfg: KernelConfig,
         y_mean: float,
         y_std: float,
@@ -353,8 +373,6 @@ class GPModel:
         column: int,
     ):
         self.space = space
-        self.train_sets = train_sets
-        self.set_means = set_means
         self.cfg = cfg
         self.y_mean = y_mean
         self.y_std = y_std
@@ -367,6 +385,18 @@ class GPModel:
         if self._rows.generation != self._generation:
             raise RuntimeError("GP model is stale: its kernel rows were refitted")
         return self._rows
+
+    @property
+    def train_sets(self) -> np.ndarray:
+        """The distinct sets tried, ascending."""
+        return np.sort(self._kept()._order)
+
+    @property
+    def set_means(self) -> np.ndarray:
+        """The mean target of each set in ``train_sets``."""
+        rows = self._kept()
+        totals = rows._totals[rows._order.argsort()]
+        return totals[:, self._column] / totals[:, 0]
 
     def _posterior(self, v: np.ndarray, var_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean and variance (metric units) from v = L^-1 k* and the
@@ -383,7 +413,7 @@ class GPModel:
         """Posterior mean and variance (metric units) at (m, b) coordinates."""
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         rows = self._kept()
-        m = len(rows._order)
+        m = len(rows)
         train_coords = self.space.normalized_all()[rows._order]
         k_star = kernel_matrix(self.cfg, train_coords, coords)
         _check_finite(k_star)
@@ -395,12 +425,12 @@ class GPModel:
         """Posterior mean and variance (metric units) at grid sets."""
         cols = np.asarray(indices, dtype=int)
         rows = self._kept()
-        return self._posterior(rows._vw[: len(rows._order), cols], rows._var[cols])
+        return self._posterior(rows._vw[: len(rows), cols], rows._var[cols])
 
     def predict_all(self) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance (metric units) at every grid set."""
         rows = self._kept()
-        v = rows._vw[: len(rows._order), : self.space.n_sets]
+        v = rows._vw[: len(rows), : self.space.n_sets]
         return self._posterior(v, rows._var)
 
 
@@ -414,20 +444,6 @@ def _standardize(targets: np.ndarray) -> tuple[float, float]:
     if std == 0.0:
         std = 1.0
     return mean, std
-
-
-@dataclass(frozen=True)
-class SetTotals:
-    """A fit's trials grouped by set, kept by a caller that adds trials
-    one at a time: the distinct sets tried (ascending, as ``np.unique``
-    gives them), each set's trial count and, per metric, each set's sum of
-    targets. A sum accumulated in trial order from 0.0 is the sum
-    ``np.bincount`` takes, bit for bit.
-    """
-
-    sets: np.ndarray
-    counts: np.ndarray
-    sums: Mapping[str, np.ndarray]
 
 
 def fit_xy(
@@ -448,19 +464,18 @@ def fit_many_xy(
     values_by_metric: dict[str, Sequence[float]],
     cfg: KernelConfig = KernelConfig(),
     rows: KernelRows | None = None,
-    totals: SetTotals | None = None,
 ) -> dict[str, GPModel]:
     """Fit one GP per metric over shared inputs, factorizing K only once.
 
     Valid because standardization affects targets only: the kernel matrix
     and its noise term live on the shared normalized-input / standardized-
-    output scale for every metric. ``rows`` is the run's GP state (built
-    for this space and ``cfg``): its kernel rows and the factor it keeps
-    from the previous fit, of which only the rows that changed are
-    refactored (:meth:`KernelRows.refit`); the models of that previous fit
-    are stale from now on. Without ``rows`` a fresh state is made and every
-    row is factored. ``totals`` groups these same trials by set; without
-    it they are grouped here with ``np.unique`` and ``np.bincount``.
+    output scale for every metric. The set indices and values are the
+    whole trial trace. ``rows`` is the run's GP state (built for this
+    space and ``cfg``), whose trace this one extends: only the trials past
+    those it holds are folded in and only the rows they change are
+    refactored (:meth:`KernelRows.refit`); the models of its previous fit
+    are stale from now on. A shorter trace or other metric names raise
+    ConfigError. Without ``rows`` a fresh state folds every trial.
     """
     if rows is None:
         rows = KernelRows(space, cfg)
@@ -469,31 +484,21 @@ def fit_many_xy(
     idx = np.asarray(set_indices, dtype=int)
     if idx.size == 0:
         raise ConfigError("cannot fit a GP to zero observations")
-    if totals is None:
-        sets, inverse, counts = np.unique(idx, return_inverse=True, return_counts=True)
-    else:
-        sets, counts = totals.sets, totals.counts
-    keys = tuple(values_by_metric)
-    # One row per set: the set, its trial count, then [1 | set means].
-    table = np.empty((len(sets), 3 + len(keys)))
-    table[:, 0] = sets
-    table[:, 1] = counts
-    table[:, 2] = 1.0
-    scales = []
-    for column, (metric, values) in enumerate(values_by_metric.items(), start=3):
+    targets, scales = [], []
+    for metric, values in values_by_metric.items():
         y = np.asarray(values, dtype=float)
         if y.shape != idx.shape:
             raise ConfigError(f"metric {metric!r}: wrong number of values")
         y_mean, y_std = _standardize(y)
         if not math.isfinite(y_mean):  # a NaN or infinite target
             raise ValueError("array must not contain infs or NaNs")
-        sums = np.bincount(inverse, weights=y) if totals is None else totals.sums[metric]
-        np.divide(sums, counts, out=table[:, column])
+        targets.append(y)
         scales.append((y_mean, y_std))
-    rows.refit(sets, table, keys)
+    keys = tuple(values_by_metric)
+    rows.refit(idx, targets, keys)
     return {
-        metric: GPModel(space, sets, table[:, j + 3], cfg, y_mean, y_std, rows, j + 1)
-        for j, (metric, (y_mean, y_std)) in enumerate(zip(keys, scales))
+        metric: GPModel(space, cfg, y_mean, y_std, rows, column)
+        for column, (metric, (y_mean, y_std)) in enumerate(zip(keys, scales), start=1)
     }
 
 

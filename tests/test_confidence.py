@@ -15,7 +15,6 @@ from apexopt.confidence import (
     alpha_b1,
     alpha_b2,
     alpha_from_angle,
-    fit_saturating_exponential,
     instant_suboptimality,
     kappa,
     minimize_bounded,
@@ -153,7 +152,7 @@ class TestOptimalityAlpha:
 
     def test_linear_trace_angle_within_grid_tolerance(self):
         x = np.linspace(0, 1, 30)
-        b = fit_saturating_exponential(x, x.copy())
+        b = confidence._fit_on_grid(x, x.copy(), confidence._grid_curves(x))
         assert 43.0 <= tangent_angle_deg(b) <= 45.0
 
     def test_saturated_trace_yields_high_alpha(self):
@@ -291,7 +290,8 @@ class TestGridCurveCache:
         for n in (3, 20, 48, 49, 120):
             x = np.sort(rng.uniform(0.0, 1.0, size=n))
             y = np.sort(rng.uniform(0.0, 1.0, size=n))
-            assert fit_saturating_exponential(x, y) == formula_fit(x, y)
+            curves = confidence._grid_curves(x)
+            assert confidence._fit_on_grid(x, y, curves) == formula_fit(x, y)
 
 
 class TestBoundedBrent:

@@ -163,8 +163,9 @@ def _bits(a) -> bytes:
 
 
 class TestIncrementalTotals:
-    """The per-set totals ``AnalysisState`` keeps from trial to trial equal
-    regrouping the whole trace with ``np.unique`` and ``np.bincount``."""
+    """The models ``AnalysisState`` fits after each trial, from the trials
+    its kept GP state folds in one at a time, equal a fresh fit of the
+    whole trace and regrouping it with ``np.unique`` and ``np.bincount``."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(
@@ -184,29 +185,21 @@ class TestIncrementalTotals:
         sets_so_far: list[int] = []
         targets_so_far: dict[str, list[float]] = {"goal": [], "c:prr": []}
 
-        def checked(space, set_indices, values_by_metric, cfg, rows=None,
-                    totals=None):
+        def checked(space, set_indices, values_by_metric, cfg, rows=None):
             assert list(set_indices) == sets_so_far
-            idx = np.array(sets_so_far)
-            sets, inverse, counts = np.unique(idx, return_inverse=True,
-                                              return_counts=True)
-            assert np.array_equal(totals.sets, sets)
-            assert np.array_equal(totals.counts, counts)
+            sets, inverse, counts = np.unique(np.array(sets_so_far),
+                                              return_inverse=True, return_counts=True)
+            models = real(space, set_indices, values_by_metric, cfg, rows=rows)
+            fresh = real(space, sets_so_far, targets_so_far, cfg)
             for metric, values in values_by_metric.items():
                 y = np.array(targets_so_far[metric])
                 assert _bits(values) == _bits(y)
-                assert _bits(totals.sums[metric] / totals.counts) == _bits(
-                    np.bincount(inverse, weights=y) / counts)
-                assert _bits(surrogate._standardize(values)) == _bits(
-                    surrogate._standardize(y))
-            models = real(space, set_indices, values_by_metric, cfg, rows=rows,
-                          totals=totals)
-            oracle = real(space, sets_so_far, targets_so_far, cfg)
-            for metric, model in models.items():
-                assert np.array_equal(model.train_sets, oracle[metric].train_sets)
-                assert _bits(model.set_means) == _bits(oracle[metric].set_means)
-                assert _bits([model.y_mean, model.y_std]) == _bits(
-                    [oracle[metric].y_mean, oracle[metric].y_std])
+                means = np.bincount(inverse, weights=y) / counts
+                scale = surrogate._standardize(y)
+                for model in (models[metric], fresh[metric]):
+                    assert np.array_equal(model.train_sets, sets)
+                    assert _bits(model.set_means) == _bits(means)
+                    assert _bits([model.y_mean, model.y_std]) == _bits(scale)
             return models
 
         state = AnalysisState(space, req, 0.1, KernelConfig())
@@ -517,14 +510,14 @@ def _analysis_snapshot(state: AnalysisState) -> tuple:
     """What a tell leaves behind: the logged values, the selectors' inputs
     and the kept GP factor, bit for bit."""
     rows = state._rows
-    m = len(rows._order)
-    arrays = (state.goal_mean, state.goal_std, rows._order, rows._table,
+    m = len(rows)
+    arrays = (state.goal_mean, state.goal_std, rows._order, rows._totals,
               np.tril(rows._lower[:m, :m]), rows._vw[:m], rows._var)
     return (state.n, state.last, dict(state.counts), dict(state.goal_medians),
             state.kappa, state.d_n, state.d_satisfying, state.d_violating,
             state.best_index, state.reported_index, dict(state.f_c_plus),
             state.goal_range, list(state.trace.cumulative), rows.generation,
-            [_bits(a) for a in arrays])
+            rows._folded, [_bits(a) for a in arrays])
 
 
 class TestFitErrorKeepsTheState:
