@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from apexopt.domain import ParameterSet
 from apexopt.surrogate import GPModel, predict
@@ -37,6 +36,19 @@ class NoCandidatesError(ValueError):
 
 def _phi(z: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * z**2) / math.sqrt(2.0 * math.pi)
+
+
+_MINUS_SQRT_HALF = -math.sqrt(0.5)
+
+
+def _cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, 0.5 erfc(-z / sqrt 2), elementwise over a 1-d
+    array. Within 1 ulp of ``scipy.special.ndtr`` for z >= sqrt 2. Below
+    that the rounding of z / sqrt 2 grows with z^2 in erfc: at most 14 ulp
+    down to -5, 133 down to -20 and 516 down to -37.6, where the values
+    turn subnormal."""
+    erfc = np.fromiter(map(math.erfc, (z * _MINUS_SQRT_HALF).tolist()), float, len(z))
+    return 0.5 * erfc
 
 
 def lcb(model: GPModel, x: Union[int, ParameterSet, Sequence[float]],
@@ -60,7 +72,7 @@ def ei_values(mean: np.ndarray, std: np.ndarray, f_best: float) -> np.ndarray:
     out = np.zeros_like(mean)
     pos = std > 0.0
     z = improvement[pos] / std[pos]
-    out[pos] = improvement[pos] * ndtr(z) + std[pos] * _phi(z)
+    out[pos] = improvement[pos] * _cdf(z) + std[pos] * _phi(z)
     return np.maximum(out, 0.0)
 
 

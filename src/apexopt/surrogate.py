@@ -27,9 +27,15 @@ distinct sets, and a repeat of the i-th set costs O((m - i) m n_sets)
 (blocked right-looking Cholesky, Golub & Van Loan section 4.2; each
 appended row is one triangular solve, GPML Alg. 2.1). Predictions at grid
 sets read V, with no solve. A fit without kept rows folds every trial
-into a fresh state and factors from row 0. The factorization calls LAPACK
-``potrf`` and the solves BLAS ``trsm`` directly; their last bits depend
-on OpenBLAS's thread count, so a run's numerics go inside
+into a fresh state and factors from row 0.
+
+The factorization calls LAPACK ``potrf`` and the solves BLAS ``trsm``
+directly, in the OpenBLAS that SciPy's wheel bundles, through ``ctypes``
+(:func:`dpotrf`, :func:`dtrsm`): importing ``scipy.linalg`` for its two
+wrappers would cost half of the package's import time. The bindings take
+the arguments of those wrappers and give their bits. Where that library
+is not found, the wrappers themselves are used. The last bits depend on
+OpenBLAS's thread count, so a run's numerics go inside
 :func:`one_blas_thread`.
 """
 
@@ -38,15 +44,13 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import importlib.util
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Sequence, Union
+from typing import Any, Callable, Iterator, Sequence, Union
 
 import numpy as np
-import scipy
-from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpotrf
 
 from apexopt.domain import ConfigError, ParameterSet, ParameterSpace
 
@@ -306,9 +310,98 @@ def _cholesky(a: np.ndarray) -> np.ndarray | None:
     return c
 
 
+def _bundled_openblas(package: str) -> list[Path]:
+    """The OpenBLAS libraries that a Linux wheel of ``package`` bundles in
+    ``<package>.libs``, found without importing the package."""
+    spec = importlib.util.find_spec(package)
+    if spec is None or spec.origin is None:
+        return []
+    pkg_dir = Path(spec.origin).parent
+    return sorted((pkg_dir.parent / f"{pkg_dir.name}.libs").glob("libscipy_openblas*.so*"))
+
+
+def _pointer(a: np.ndarray) -> Any:
+    """A pointer to the data of the writable, Fortran-ordered ``a``; NULL
+    when it is empty."""
+    return ctypes.byref(ctypes.c_char.from_buffer(a.T)) if a.size else None
+
+
+@functools.cache
+def _int_ref(value: int) -> Any:
+    """A pointer to a C int holding ``value``. Fortran takes its integer
+    arguments by reference; potrf and trsm only read the sizes, so one
+    object per value serves every call."""
+    return ctypes.byref(ctypes.c_int(value))
+
+
+_ONE = ctypes.byref(ctypes.c_double(1.0))
+
+
+def _bind(potrf: Any, trsm: Any) -> tuple[Callable, Callable]:
+    """``dpotrf`` and ``dtrsm`` with the arguments and results of SciPy's
+    f2py wrappers, calling the Fortran routines ``potrf`` and ``trsm``.
+
+    As in f2py, ``potrf`` factors a Fortran-ordered copy of ``a``, ``trsm``
+    solves in a Fortran-ordered copy of ``b`` (in ``b`` itself when
+    ``overwrite_b`` is set and ``b`` is Fortran-ordered) and every leading
+    dimension is at least 1. The routines get no ``argtypes``: ctypes'
+    per-argument conversion took 2.3 us of a 3.2 us ``trsm`` call. Each
+    argument is made here instead, as bytes, a ``byref`` pointer or NULL.
+    """
+    potrf.restype = trsm.restype = None
+
+    def dpotrf(a: np.ndarray, lower: int = 0, clean: int = 1) -> tuple[np.ndarray, int]:
+        c = np.array(a, dtype=float, order="F")
+        n = len(c)
+        if c.shape != (n, n):
+            raise ValueError(f"potrf needs a square matrix, not {c.shape}")
+        info = ctypes.c_int()
+        potrf(b"L" if lower else b"U", _int_ref(n), _pointer(c), _int_ref(max(1, n)),
+              ctypes.byref(info))
+        if clean:
+            c[np.triu_indices(n, 1) if lower else np.tril_indices(n, -1)] = 0.0
+        return c, info.value
+
+    def dtrsm(alpha: float, a: np.ndarray, b: np.ndarray, side: int = 0, lower: int = 0,
+              trans_a: int = 0, diag: int = 0, overwrite_b: int = 0) -> np.ndarray:
+        a = np.asarray(a, dtype=float, order="F")
+        b = np.array(b, dtype=float, order="F", copy=None if overwrite_b else True)
+        m, n = b.shape
+        k = n if side else m
+        if a.shape != (k, k):
+            raise ValueError(f"trsm needs a {k} x {k} triangular matrix, not {a.shape}")
+        trsm(b"R" if side else b"L", b"L" if lower else b"U", b"T" if trans_a else b"N",
+             b"U" if diag else b"N", _int_ref(m), _int_ref(n),
+             _ONE if alpha == 1.0 else ctypes.byref(ctypes.c_double(alpha)),
+             _pointer(a), _int_ref(max(1, k)), _pointer(b), _int_ref(max(1, m)))
+        return b
+
+    return dpotrf, dtrsm
+
+
+def _linalg_routines(libraries: Sequence[Path]) -> tuple[Callable, Callable]:
+    """(dpotrf, dtrsm): bound to the first of ``libraries`` that exports
+    SciPy's ``scipy_dpotrf_`` and ``scipy_dtrsm_``, or else SciPy's f2py
+    wrappers of the same routines from ``scipy.linalg``."""
+    for path in libraries:
+        try:
+            lib = ctypes.CDLL(str(path))
+            return _bind(lib.scipy_dpotrf_, lib.scipy_dtrsm_)
+        except (OSError, AttributeError):
+            continue
+    from scipy.linalg.blas import dtrsm
+    from scipy.linalg.lapack import dpotrf
+
+    return dpotrf, dtrsm
+
+
+# SciPy's copy, not NumPy's: the two wheels bundle different OpenBLAS
+# versions, and only SciPy's gives the bits of scipy.linalg's wrappers.
+dpotrf, dtrsm = _linalg_routines(_bundled_openblas("scipy"))
+
 # NumPy and SciPy wheels each bundle their own OpenBLAS, with its own
 # thread setting: (package, symbol suffix) per copy.
-_BUNDLED_OPENBLAS = ((np, "64_"), (scipy, ""))
+_BUNDLED_OPENBLAS = (("numpy", "64_"), ("scipy", ""))
 
 
 @functools.cache
@@ -318,9 +411,7 @@ def _blas_thread_controls() -> tuple[tuple[Any, Any], ...]:
     (another BLAS build) is left out. Looked up once per process."""
     controls = []
     for package, suffix in _BUNDLED_OPENBLAS:
-        pkg_dir = Path(package.__file__).parent
-        libs = pkg_dir.parent / f"{pkg_dir.name}.libs"
-        for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        for path in _bundled_openblas(package):
             try:
                 lib = ctypes.CDLL(str(path))
             except OSError:
@@ -334,10 +425,12 @@ def _blas_thread_controls() -> tuple[tuple[Any, Any], ...]:
 
 @contextlib.contextmanager
 def one_blas_thread() -> Iterator[None]:
-    """Run the block with the bundled OpenBLAS copies on one thread.
+    """Run the block with the bundled OpenBLAS copies on one thread: SciPy's,
+    which runs :func:`dpotrf` and :func:`dtrsm`, and NumPy's, which runs
+    the matrix products.
 
     One run's matrices are small: a second thread only spins beside it,
-    and it changes the last bits of ``potrf``/``potrs``/``trsm``, so a
+    and it changes the last bits of ``potrf`` and ``trsm``, so a
     run's output would depend on the machine. Each copy's previous count
     is restored on the way out, also when the block raises. The count is
     per process, so this is not safe to enter from several threads at

@@ -120,6 +120,37 @@ class TestExpectedImprovement:
         assert expected_improvement(model, 3, 100.0) == pytest.approx(direct)
 
 
+class TestNormalCdf:
+    """``acquisition._cdf`` = 0.5 erfc(-z / sqrt 2) against SciPy's ndtr.
+    Rounding z / sqrt 2 costs about z^2 / 2 ulp of erfc for negative z, so
+    the bound widens with |z|; each is the largest difference seen on a
+    2e7-point grid of its band, with a little room."""
+
+    @pytest.mark.parametrize("lo, hi, max_ulp", [
+        (math.sqrt(2.0), 40.0, 1),
+        (1.4, math.sqrt(2.0), 2),
+        (-5.0, 1.4, 16),
+        (-20.0, -5.0, 140),
+        (-37.6, -20.0, 540),
+    ])
+    def test_within_its_ulp_bound_of_ndtr(self, lo, hi, max_ulp):
+        from scipy.special import ndtr
+
+        from apexopt.acquisition import _cdf
+
+        z = np.linspace(lo, hi, 200_001)
+        got, want = _cdf(z), ndtr(z)
+        assert np.all(want > 0.0)
+        assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= max_ulp
+
+    def test_edges(self):
+        from apexopt.acquisition import _cdf
+
+        got = _cdf(np.array([-np.inf, 0.0, np.inf, np.nan]))
+        assert got[:3].tolist() == [0.0, 0.5, 1.0] and np.isnan(got[3])
+        assert _cdf(np.empty(0)).shape == (0,)
+
+
 class TestSelectEi:
     def test_singleton(self, crystal_space):
         model = toy_model(crystal_space)

@@ -756,12 +756,13 @@ class TestBundledConfigs:
 def test_cli_import_leaves_remote_and_pool_modules_unloaded():
     # requests loads in remote_trial and the process pool in a campaign
     # with jobs > 1; a fresh interpreter importing the CLI loads neither.
+    # The GP calls SciPy's OpenBLAS without scipy.linalg, and expected
+    # improvement needs no scipy.special: importing either loads numpy.f2py.
     import apexopt
 
-    code = (
-        "import sys, apexopt.cli; "
-        "print(sorted({'requests', 'concurrent.futures.process'} & set(sys.modules)))"
-    )
+    unloaded = {"requests", "concurrent.futures.process", "scipy.linalg",
+                "scipy.special", "numpy.f2py"}
+    code = f"import sys, apexopt.cli; print(sorted({unloaded!r} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(Path(apexopt.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -562,3 +562,131 @@ def test_standardize_matches_np_mean_and_std(values, shift):
     std = float(np.std(targets))
     expected = (float(np.mean(targets)), std if std != 0.0 else 1.0)
     assert surrogate._standardize(targets) == expected
+
+
+def spd_matrix(rng, n):
+    """A random symmetric positive definite n x n matrix, C-ordered."""
+    x = rng.normal(size=(n, n + 2))
+    return x @ x.T + 1e-3 * np.eye(n)
+
+
+class TestOpenBLASBinding:
+    """``surrogate.dpotrf``/``dtrsm`` against SciPy's f2py wrappers of the
+    same routines: equal bits, order and ``info``."""
+
+    @pytest.fixture(autouse=True)
+    def _f2py(self):
+        from scipy.linalg.blas import dtrsm
+        from scipy.linalg.lapack import dpotrf
+
+        self.potrf, self.trsm = dpotrf, dtrsm
+
+    def test_the_bundled_library_is_bound_where_there_is_one(self):
+        if not surrogate._bundled_openblas("scipy"):
+            pytest.skip("SciPy does not bundle OpenBLAS here")
+        assert surrogate.dpotrf is not self.potrf
+        assert surrogate.dtrsm is not self.trsm
+
+    @pytest.mark.parametrize("n", range(65))
+    def test_potrf_equals_f2py(self, n):
+        a = spd_matrix(np.random.default_rng(n), n)
+        want, want_info = self.potrf(a, lower=1, clean=0)
+        got, info = surrogate.dpotrf(a, lower=1, clean=0)
+        assert info == want_info == 0
+        assert got.flags.f_contiguous and _bits(got) == _bits(want)
+        assert _bits(a) == _bits(spd_matrix(np.random.default_rng(n), n))  # a copy
+
+    @pytest.mark.parametrize("lower", [0, 1])
+    @pytest.mark.parametrize("clean", [0, 1])
+    def test_potrf_options_equal_f2py(self, lower, clean):
+        a = spd_matrix(np.random.default_rng(3), 9)
+        want, _ = self.potrf(a, lower=lower, clean=clean)
+        got, _ = surrogate.dpotrf(a, lower=lower, clean=clean)
+        assert _bits(got) == _bits(want)
+
+    def test_not_positive_definite_gives_the_same_info(self):
+        rng = np.random.default_rng(5)
+        for n in range(2, 20):
+            a = spd_matrix(rng, n)
+            a[n // 2, n // 2] = -1.0
+            want, want_info = self.potrf(a, lower=1, clean=0)
+            got, info = surrogate.dpotrf(a, lower=1, clean=0)
+            assert info == want_info > 0
+            assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("n", range(65))
+    def test_trailing_solve_equals_f2py(self, n):
+        # KernelRows._trailing: b L^-T in place on the transposed b.
+        rng = np.random.default_rng(100 + n)
+        lower, _ = self.potrf(spd_matrix(rng, n), lower=1, clean=0)
+        b = rng.normal(size=(n, 19))
+        want = self.trsm(1.0, lower, b.copy().T, side=1, lower=1, trans_a=1,
+                         overwrite_b=1).T
+        got = surrogate.dtrsm(1.0, lower, b.T, side=1, lower=1, trans_a=1,
+                              overwrite_b=1).T
+        assert _bits(got) == _bits(want)
+        if n:
+            assert np.shares_memory(got, b)
+
+    @pytest.mark.parametrize("n", range(65))
+    def test_left_solve_on_a_c_ordered_slice_equals_f2py(self, n):
+        # GPModel.predict_coords: L^-1 k* with L a slice of a larger buffer.
+        rng = np.random.default_rng(200 + n)
+        buffer = np.zeros((n + 3, n + 3))
+        buffer[:n, :n] = self.potrf(spd_matrix(rng, n), lower=1, clean=0)[0]
+        k_star = rng.normal(size=(n, 7))
+        want = self.trsm(1.0, buffer[:n, :n], k_star, lower=1)
+        got = surrogate.dtrsm(1.0, buffer[:n, :n], k_star, lower=1)
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert _bits(got) == _bits(want)
+        assert not np.shares_memory(got, k_star)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("lower", [0, 1])
+    @pytest.mark.parametrize("trans_a", [0, 1])
+    @pytest.mark.parametrize("diag", [0, 1])
+    def test_trsm_options_equal_f2py(self, side, lower, trans_a, diag):
+        rng = np.random.default_rng(7)
+        a = spd_matrix(rng, 6)
+        b = rng.normal(size=(4, 6) if side else (6, 4))
+        want = self.trsm(0.5, a, b, side=side, lower=lower, trans_a=trans_a, diag=diag)
+        got = surrogate.dtrsm(0.5, a, b, side=side, lower=lower, trans_a=trans_a,
+                              diag=diag)
+        assert _bits(got) == _bits(want)
+
+    def test_shapes_that_do_not_match_raise(self):
+        with pytest.raises(ValueError, match="square"):
+            surrogate.dpotrf(np.ones((2, 3)), lower=1, clean=0)
+        with pytest.raises(ValueError, match="triangular"):
+            surrogate.dtrsm(1.0, np.eye(3), np.ones((2, 4)), lower=1)
+
+    def test_without_the_symbols_scipy_linalg_is_used(self):
+        assert surrogate._linalg_routines([]) == (self.potrf, self.trsm)
+        # NumPy's OpenBLAS exports its symbols under another suffix.
+        numpy_copies = surrogate._bundled_openblas("numpy")
+        assert surrogate._linalg_routines(numpy_copies) == (self.potrf, self.trsm)
+
+    def test_the_fallback_gives_the_same_fits(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        space = random_space(rng, 3)
+        trials = [int(i) for i in rng.integers(0, space.n_sets, size=40)]
+        values = {"a": list(rng.normal(size=40)), "b": list(rng.normal(size=40))}
+        query = rng.uniform(size=(5, 3))
+
+        def run():
+            rows = KernelRows(space, KernelConfig())
+            out = []
+            for t in range(1, 41):
+                models = fit_many_xy(space, trials[:t], {k: v[:t] for k, v in values.items()},
+                                     KernelConfig(), rows=rows)
+                m = len(rows)
+                # The buffers' rows past m, and L's upper triangle, are unset.
+                out.append([rows._order, rows._totals, rows._rows[:m], rows._vw[:m],
+                            np.tril(rows._lower[:m, :m]), rows._var,
+                            *models["b"].predict_coords(query)])
+            return [_bits(a) for arrays in out for a in arrays]
+
+        bound = run()
+        monkeypatch.setattr(surrogate, "dpotrf", self.potrf)
+        monkeypatch.setattr(surrogate, "dtrsm", self.trsm)
+        assert run() == bound
