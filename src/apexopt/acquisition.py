@@ -165,7 +165,7 @@ def escape_goal_outlier(
     removed; if that empties the pool, the full candidate set is used.
     """
     cand = _as_candidates(candidates)
-    n_obs = np.array([counts.get(int(i), 0) for i in cand])
+    n_obs = np.array([counts.get(i, 0) for i in cand.tolist()])
     keep = cand[n_obs < n_obs.max()]
     return select_fn(keep if keep.size else cand)
 

@@ -112,6 +112,8 @@ def _get(d: Mapping, key: str, path: str, kind, default=None, required=False):
         return default
     value = d[key]
     if kind is float and type(value) is int:
+        if not is_metric_value(value):  # beyond the float range
+            _fail(f"{path}.{key}", "integer is too large for a float")
         value = float(value)
     # bool is a subclass of int, so a YAML true/false needs its own check.
     if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
@@ -268,11 +270,15 @@ def _parse_space(params: Any, path: str) -> ParameterSpace:
     """The space of a non-empty list of parameter mappings."""
     if not isinstance(params, list) or not params:
         _fail(path, "expected a non-empty list")
-    return ParameterSpace([
-        ParameterDef(**_present(p, _kinds(ParameterDef), f"{path}[{i}]",
-                                required=("name", "values")))
-        for i, p in enumerate(params)
-    ])
+    defs = []
+    for i, p in enumerate(params):
+        kwargs = _present(p, _kinds(ParameterDef), f"{path}[{i}]",
+                          required=("name", "values"))
+        try:
+            defs.append(ParameterDef(**kwargs))
+        except ConfigError as e:
+            raise ConfigError(f"{path}[{i}]: {e}") from None
+    return ParameterSpace(defs)
 
 
 def _parse_requirement(block: Any, path: str) -> Requirement:
@@ -416,9 +422,11 @@ def _parse_engine(block: Mapping, space: ParameterSpace) -> dict:
         for i, s in enumerate(block["suggestions"]):
             if not isinstance(s, list):
                 _fail(f"engine.suggestions[{i}]", "expected a list of parameter values")
-            pset = ParameterSet(tuple(s))
-            space.index_of(pset)  # validates membership
-            suggestions.append(pset)
+            try:
+                space.index_of(s)
+            except ConfigError as e:
+                raise ConfigError(f"engine.suggestions[{i}]: {e}") from None
+            suggestions.append(ParameterSet(tuple(s)))
         out["suggestions"] = tuple(suggestions)
     if block.get("kernel") is not None:
         out["kernel"] = KernelConfig(

@@ -52,17 +52,15 @@ class ParameterDef:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("parameter name must be non-empty")
-        try:
-            values = tuple(float(v) for v in self.values)
-        except (TypeError, ValueError):
+        # A value is a number by the metric rule: not a bool or a string.
+        if not all(map(is_metric_value, self.values)):
             raise ConfigError(
-                f"parameter {self.name!r}: values must be numbers"
-            ) from None
+                f"parameter {self.name!r}: values must be numbers and finite"
+            )
+        values = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", values)
         if not values:
             raise ConfigError(f"parameter {self.name!r}: values must be non-empty")
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"parameter {self.name!r}: values must be finite")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError(
                 f"parameter {self.name!r}: values must be strictly increasing"

@@ -269,10 +269,8 @@ def sorted_median(values: Sequence[float]) -> float:
 class AnalysisState:
     """Incremental per-trial analysis over a growing observation list.
 
-    The single owner of the run's observations: each set's raw readings
-    per metric kept sorted (so counts and medians are read off directly),
-    and the set indices and canonical GP targets in trial order, in
-    buffers that grow by doubling. Canonical values are ``sign * raw``;
+    It keeps each set's raw readings per metric sorted, so counts and
+    medians are read off directly. Canonical values are ``sign * raw``;
     negation is exact, so canonical medians equal medians of canonical
     values.
 
@@ -288,8 +286,9 @@ class AnalysisState:
     candidate pools only when the set enters them or changes pool, and
     folds the trial into the running target extrema. The GP state
     (:class:`surrogate.KernelRows`) is kept for the whole run and owns the
-    per-set trial counts and target sums; each fit folds in the one new
-    trial and refactors only the rows from the trial's set on.
+    trial trace: the canonical GP targets in trial order and the per-set
+    trial counts and target sums. Each fit adds the one new trial and
+    refactors only the rows from the trial's set on.
     """
 
     def __init__(
@@ -310,16 +309,12 @@ class AnalysisState:
         self._target_defs = {"goal": (canon.goal_metric, canon.goal_sign)}
         for c in canon.constraints:
             self._target_defs[f"c:{c.metric}"] = (c.metric, c.sign)
-        # Trial order; the first n entries are the observations.
-        self._n = 0
-        self._trial_sets = np.empty(64, dtype=np.intp)
-        self._targets = {key: np.empty(64) for key in self._target_defs}
         # Per set: whether the constraint medians violate.
         self._violating = np.zeros(space.n_sets, dtype=bool)
         # Running extrema of the targets.
         self._target_min = {key: math.inf for key in self._target_defs}
         self._goal_max = -math.inf
-        self._rows = surrogate.KernelRows(space, kernel)
+        self._rows = surrogate.KernelRows(space, kernel, tuple(self._target_defs))
         self.trace = confidence.SuboptimalityTrace()
         self.counts: dict[int, int] = {}
         self.goal_medians: dict[int, float] = {}
@@ -339,7 +334,7 @@ class AnalysisState:
     @property
     def n(self) -> int:
         """The number of observations so far."""
-        return self._n
+        return self._rows.n_trials
 
     @property
     def f_best(self) -> float:
@@ -381,35 +376,20 @@ class AnalysisState:
                 )
         canon = self.canonical
         # Fit and predict before recording anything, so that a FitError
-        # leaves the state as it was: the trial is written one past the
-        # first n buffer entries, and the kept GP state changes only when
+        # leaves the state as it was: the kept GP state changes only when
         # the fit succeeds.
-        n = self._n
-        values = {
-            key: sign * float(obs.metrics[metric])
+        told = {
+            key: (sign * float(obs.metrics[metric]),)
             for key, (metric, sign) in self._target_defs.items()
         }
-        if n == len(self._trial_sets):
-            # np.resize keeps the first entries and pads with their copies.
-            self._trial_sets = np.resize(self._trial_sets, 2 * n)
-            self._targets = {k: np.resize(b, 2 * n) for k, b in self._targets.items()}
-        self._trial_sets[n] = idx
-        for key, value in values.items():
-            self._targets[key][n] = value
-        models = surrogate.fit_many_xy(
-            self.space,
-            self._trial_sets[: n + 1],
-            {key: b[: n + 1] for key, b in self._targets.items()},
-            self.kernel,
-            rows=self._rows,
-        )
+        models = surrogate.fit_many_xy(self.space, (idx,), told, self.kernel,
+                                       rows=self._rows)
         goal_mean, goal_var = models["goal"].predict_all()
 
-        self._n = n + 1
         self._target_min = {
-            key: min(low, values[key]) for key, low in self._target_min.items()
+            key: min(low, told[key][0]) for key, low in self._target_min.items()
         }
-        self._goal_max = max(self._goal_max, values["goal"])
+        self._goal_max = max(self._goal_max, told["goal"][0])
         self.constraint_models = {
             c.metric: models[f"c:{c.metric}"] for c in canon.constraints
         }

@@ -180,17 +180,19 @@ def _group(
     return tuple(tuple(g) for g in groups)
 
 
-def _space_from_header(header: Mapping) -> ParameterSpace:
-    """The header's parameter space; unknown parameter keys are ignored."""
+def _space_from_header(header: Mapping, where: str) -> ParameterSpace:
+    """The parameter space of the header at ``where`` (file and line);
+    unknown parameter keys are ignored."""
     known = {f.name for f in fields(ParameterDef)}
     try:
-        defs = [
+        return ParameterSpace([
             ParameterDef(**{k: v for k, v in p.items() if k in known})
             for p in header["parameters"]
-        ]
+        ])
     except (AttributeError, KeyError, TypeError) as e:
-        raise DatasetFormatError(f"malformed dataset header: {e}") from None
-    return ParameterSpace(defs)
+        raise DatasetFormatError(f"{where}: malformed dataset header: {e}") from None
+    except ConfigError as e:
+        raise DatasetFormatError(f"{where}: {e}") from None
 
 
 def load_dataset(
@@ -227,7 +229,7 @@ def _load_jsonl(path: Path, space: ParameterSpace | None) -> TraceDataset:
             if "header" in obj:
                 if header is not None:
                     raise DatasetFormatError(f"{path}:{line_no}: duplicate header")
-                header = obj["header"]
+                header, header_at = obj["header"], f"{path}:{line_no}"
             elif "params" not in obj or "metrics" not in obj:
                 raise DatasetFormatError(
                     f"{path}:{line_no}: record needs 'params' and 'metrics'"
@@ -240,7 +242,7 @@ def _load_jsonl(path: Path, space: ParameterSpace | None) -> TraceDataset:
             raise DatasetFormatError(
                 f"{path}: no header line and no explicit parameter space"
             )
-        space = _space_from_header(header)
+        space = _space_from_header(header, header_at)
     return TraceDataset(space, _group(space, rows, path))
 
 

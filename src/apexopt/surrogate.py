@@ -12,11 +12,10 @@ of distinct sets tried, not on the trial count. Hyperparameters are never
 optimized here; the defaults follow the engine's standard configuration
 (RBF kernel, length scale 1 on normalized coordinates).
 
-:class:`KernelRows` is the run's GP state and the one owner of the
-per-set statistics. A fit passes the whole trial trace, which only ever
-grows; the state folds in the trials it has not seen, adding each to its
-set's trial count and target sums. The grid and the hyperparameters are
-fixed for a run, so the covariance between two sets never changes: a
+:class:`KernelRows` is the run's GP state and the one owner of its
+trace: every trial's targets and, per set, its trial count and target
+sums. A fit adds the trials it is given. The grid and the hyperparameters
+are fixed for a run, so the covariance between two sets never changes: a
 set's row of the kernel against the whole grid is computed once, when the
 set is first tried. The state also keeps the run's Cholesky factor L from
 one fit to the next, rows in the order the sets were first tried, with
@@ -26,8 +25,8 @@ that set's row on: a new set is one appended row, O(m n_sets) for m
 distinct sets, and a repeat of the i-th set costs O((m - i) m n_sets)
 (blocked right-looking Cholesky, Golub & Van Loan section 4.2; each
 appended row is one triangular solve, GPML Alg. 2.1). Predictions at grid
-sets read V, with no solve. A fit without kept rows folds every trial
-into a fresh state and factors from row 0.
+sets read V, with no solve. A fit without kept rows gives every trial to
+a fresh state and factors from row 0.
 
 The factorization calls LAPACK ``potrf`` and the solves BLAS ``trsm``
 directly, in the OpenBLAS that SciPy's wheel bundles, through ``ctypes``
@@ -48,7 +47,7 @@ import importlib.util
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -102,42 +101,43 @@ def kernel_matrix(cfg: KernelConfig, u: np.ndarray, v: np.ndarray) -> np.ndarray
 
 
 class KernelRows:
-    """The run's GP state: its trials grouped by set, the kernel rows of the
-    sets tried and the kept Cholesky factor.
+    """The run's GP state: its trials, the kernel rows of the sets tried and
+    the kept Cholesky factor.
 
-    It is the one owner of the per-set statistics. Rows are in slot order,
-    the order in which the sets were first tried, and per row it keeps the
-    set, its trial count, its per-metric target sums (accumulated in trial
-    order from 0.0, the bits ``np.bincount`` gives), its row
+    It is the one owner of the run's trace. For each metric named by
+    ``keys`` it keeps every trial's target in trial order, one row of a
+    buffer that grows by doubling. Per set tried it keeps a row, in slot
+    order (the order in which the sets were first tried): the set, its
+    trial count, its per-metric target sums (accumulated in trial order
+    from 0.0, the bits ``np.bincount`` gives), its row
     ``kernel_matrix(cfg, coords[[set]], coords)`` against the whole grid
     (each entry computed pair by pair, so any block read from the rows
     equals ``kernel_matrix`` on that block bitwise), the Cholesky factor L
     of the sets' noisy covariance and ``[V | w] = L^-1 [K[sets, every set]
     | 1 | per-metric set means]``. Memory is (distinct sets tried) x
     n_sets: the full n_sets x n_sets matrix is never built. One instance
-    serves one run (one space and one kernel configuration).
-
-    The trace is append-only: each :meth:`refit` passes every trial of the
-    previous one, in the same order and under the same metric names, and
-    only the trials past those are folded in.
+    serves one run (one space, one kernel configuration and one set of
+    metric names).
     """
 
-    def __init__(self, space: ParameterSpace, cfg: KernelConfig):
+    def __init__(self, space: ParameterSpace, cfg: KernelConfig, keys: tuple[str, ...]):
         self.space = space
         self.cfg = cfg
+        self.keys = tuple(keys)
+        self.n_trials = 0
+        # Per metric, the targets in trial order: ``_y[:, :n_trials]``.
+        self._y = np.empty((len(self.keys), 64))
         # Each set's slot, -1 until it is tried.
         self._slot = np.full(space.n_sets, -1, dtype=np.intp)
         # Per slot: the set and [trial count | per-metric target sums].
         self._order = np.empty(0, dtype=np.intp)
-        self._totals = np.empty((0, 1))
-        self._folded = 0
-        self._keys: tuple[str, ...] = ()
+        self._totals = np.empty((0, 1 + len(self.keys)))
         # Buffers with a row per slot: the kernel rows, L (``lower[:m, :m]``,
         # lower triangle) and [V | w]; then the jitter L was built with and
         # the standardized posterior variance at every set.
         self._rows = np.empty((0, space.n_sets))
         self._lower = np.empty((0, 0))
-        self._vw = np.empty((0, space.n_sets + 1))
+        self._vw = np.empty((0, space.n_sets + 1 + len(self.keys)))
         self._jitter: float | None = None
         self._var = np.empty(0)
         # Bumped by every refit; a model of an earlier fit is stale.
@@ -150,36 +150,42 @@ class KernelRows:
         """Whether each set has been tried, as a boolean array."""
         return self._slot >= 0
 
-    def refit(self, set_indices: np.ndarray, targets: Sequence[np.ndarray],
-              keys: tuple[str, ...]) -> None:
-        """Fold the trials past those already held and refactor the rows
-        they change.
+    def refit(self, set_indices: Sequence[int],
+              targets: Iterable[Sequence[float]]) -> list[tuple[float, float]]:
+        """Add trials and refactor the rows they change; return each
+        metric's target (mean, std) over every trial held.
 
-        ``set_indices`` and ``targets`` (one array per metric named by
-        ``keys``) are the whole trace. A new set takes the next slot, so
-        the first refactored row i is the lowest slot a new trial touches,
-        or 0 when the kept factor holds another jitter. With L11 kept, the
-        trailing rows are L21 = ``V[:i, sets[i:]]^T`` (no solve),
-        L22 = chol(A22 - L21 L21^T), and ``[V | w]`` of rows i.. from one
-        triangular solve against ``[K[sets[i:]] | 1 | means[i:]] - L21
-        [V | w][:i]``. Each fit tries ``cfg.jitter`` first; a failed
-        factorization escalates the jitter tenfold and refactors from
-        row 0. The standardized variance at every set, k** - sum V^2, is
-        checked against the numerical floor before anything is kept, so a
-        FitError (or a ConfigError) leaves the state as it was.
+        ``targets`` holds the new trials' values, one sequence per metric
+        of ``keys``. A new set takes the next slot, so the first refactored
+        row i is the lowest slot a new trial touches, or 0 when the kept
+        factor holds another jitter. With L11 kept, the trailing rows are
+        L21 = ``V[:i, sets[i:]]^T`` (no solve), L22 = chol(A22 - L21
+        L21^T), and ``[V | w]`` of rows i.. from one triangular solve
+        against ``[K[sets[i:]] | 1 | means[i:]] - L21 [V | w][:i]``. Each
+        fit tries ``cfg.jitter`` first; a failed factorization escalates
+        the jitter tenfold and refactors from row 0. The standardized
+        variance at every set, k** - sum V^2, is checked against the
+        numerical floor before anything is kept, so a FitError, ConfigError
+        or ValueError leaves the state as it was.
         """
-        done, m = self._folded, len(self._order)
-        if len(set_indices) < done or (done and keys != self._keys):
-            raise ConfigError(
-                f"kernel rows hold {done} trials of {list(self._keys)}; a fit "
-                "on them must pass those trials and may only add more"
-            )
+        n, m, k = self.n_trials, len(self._order), len(set_indices)
+        if k == 0:
+            raise ConfigError("cannot fit a GP to zero observations")
+        columns = list(targets)
+        for metric, values in zip(self.keys, columns):
+            if len(values) != k:
+                raise ConfigError(f"metric {metric!r}: wrong number of values")
+        # The new targets go past the held ones (in a grown copy when they
+        # do not fit), so that nothing held changes before the commit.
+        y = self._y
+        if n + k > y.shape[1]:
+            y = np.empty((len(columns), max(n + k, 2 * y.shape[1])))
+            y[:, :n] = self._y[:, :n]
         # The new trials, one at a time: [count | sums] per slot touched.
         n_sets = self.space.n_sets
-        columns = [y[done:].tolist() for y in targets]
         added: dict[int, int] = {}
         touched: dict[int, list[float]] = {}
-        for t, s in enumerate(set_indices[done:].tolist()):
+        for t, s in enumerate(set_indices):
             if not 0 <= s < n_sets:
                 raise ConfigError(f"set index {s} is not one of the sets 0..{n_sets - 1}")
             slot = int(self._slot[s])
@@ -190,8 +196,16 @@ class KernelRows:
                 acc = touched[slot] = (self._totals[slot].tolist() if slot < m
                                        else [0.0] * (1 + len(columns)))
             acc[0] += 1.0
-            for j, column in enumerate(columns, start=1):
-                acc[j] += column[t]
+            for j, values in enumerate(columns):
+                value = y[j, n + t] = float(values[t])
+                acc[j + 1] += value
+        # Each metric's standardization over every trial, in trial order.
+        scales = []
+        for j in range(len(columns)):
+            y_mean, y_std = _standardize(y[j, : n + k])
+            if not math.isfinite(y_mean):  # a NaN or infinite target
+                raise ValueError("array must not contain infs or NaNs")
+            scales.append((y_mean, y_std))
         totals = np.empty((m + len(added), 1 + len(columns)))
         if m:
             totals[:m] = self._totals
@@ -205,7 +219,7 @@ class KernelRows:
             k_new = kernel_matrix(self.cfg, coords[new], coords)
 
         jitter = self.cfg.jitter
-        start = min(touched, default=m) if self._jitter == jitter else 0
+        start = min(touched) if self._jitter == jitter else 0
         while (tail := self._trailing(start, order, totals, k_new, jitter)) is None:
             jitter *= 10.0
             if jitter > MAX_JITTER:
@@ -224,8 +238,6 @@ class KernelRows:
 
         # Commit: nothing above changed the kept state.
         m_new = len(order)
-        if keys != self._keys:
-            self._vw = np.empty((len(self._lower), vw.shape[1]))
         if m_new > len(self._lower):
             self._rows = _grown(self._rows, m_new, n_sets, m)
             self._lower = _grown(self._lower, m_new, n_sets, start, square=True)
@@ -237,9 +249,10 @@ class KernelRows:
         self._lower[start:m_new, start:m_new] = l22
         self._vw[start:m_new] = vw
         self._order, self._totals = order, totals
-        self._folded, self._keys, self._jitter = len(set_indices), keys, jitter
+        self._y, self.n_trials, self._jitter = y, n + k, jitter
         self._var = var_s
         self.generation += 1
+        return scales
 
     def _trailing(self, start: int, order: np.ndarray, totals: np.ndarray,
                   k_new: np.ndarray | None, jitter: float):
@@ -479,18 +492,6 @@ class GPModel:
             raise RuntimeError("GP model is stale: its kernel rows were refitted")
         return self._rows
 
-    @property
-    def train_sets(self) -> np.ndarray:
-        """The distinct sets tried, ascending."""
-        return np.sort(self._kept()._order)
-
-    @property
-    def set_means(self) -> np.ndarray:
-        """The mean target of each set in ``train_sets``."""
-        rows = self._kept()
-        totals = rows._totals[rows._order.argsort()]
-        return totals[:, self._column] / totals[:, 0]
-
     def _posterior(self, v: np.ndarray, var_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean and variance (metric units) from v = L^-1 k* and the
         standardized variance k** - v^T v (GPML Alg. 2.1).
@@ -546,8 +547,6 @@ def fit_xy(
     cfg: KernelConfig = KernelConfig(),
 ) -> GPModel:
     """Fit a GP to explicit (set index, value) training pairs."""
-    if len(values) != len(set_indices):
-        raise ConfigError("set_indices and values must have the same length")
     return fit_many_xy(space, set_indices, {"": values}, cfg)[""]
 
 
@@ -562,33 +561,20 @@ def fit_many_xy(
 
     Valid because standardization affects targets only: the kernel matrix
     and its noise term live on the shared normalized-input / standardized-
-    output scale for every metric. The set indices and values are the
-    whole trial trace. ``rows`` is the run's GP state (built for this
-    space and ``cfg``), whose trace this one extends: only the trials past
-    those it holds are folded in and only the rows they change are
-    refactored (:meth:`KernelRows.refit`); the models of its previous fit
-    are stale from now on. A shorter trace or other metric names raise
-    ConfigError. Without ``rows`` a fresh state folds every trial.
+    output scale for every metric. The given trials are added to ``rows``,
+    the run's GP state (built for this space, ``cfg`` and these metric
+    names), which refactors only the rows they change
+    (:meth:`KernelRows.refit`); the models of its previous fit are stale
+    from now on. Without ``rows`` a fresh state takes every trial.
     """
-    if rows is None:
-        rows = KernelRows(space, cfg)
-    elif rows.space is not space or rows.cfg != cfg:
-        raise ConfigError("kernel rows belong to another space or kernel")
-    idx = np.asarray(set_indices, dtype=int)
-    if idx.size == 0:
-        raise ConfigError("cannot fit a GP to zero observations")
-    targets, scales = [], []
-    for metric, values in values_by_metric.items():
-        y = np.asarray(values, dtype=float)
-        if y.shape != idx.shape:
-            raise ConfigError(f"metric {metric!r}: wrong number of values")
-        y_mean, y_std = _standardize(y)
-        if not math.isfinite(y_mean):  # a NaN or infinite target
-            raise ValueError("array must not contain infs or NaNs")
-        targets.append(y)
-        scales.append((y_mean, y_std))
     keys = tuple(values_by_metric)
-    rows.refit(idx, targets, keys)
+    if rows is None:
+        rows = KernelRows(space, cfg, keys)
+    # A tuple compares its items by identity first: the run's own space
+    # and kernel cost no field comparison.
+    elif (rows.space, rows.cfg, rows.keys) != (space, cfg, keys):
+        raise ConfigError("kernel rows belong to another space, kernel or metric names")
+    scales = rows.refit(set_indices, values_by_metric.values())
     return {
         metric: GPModel(space, cfg, y_mean, y_std, rows, column)
         for column, (metric, (y_mean, y_std)) in enumerate(zip(keys, scales), start=1)

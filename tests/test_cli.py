@@ -400,6 +400,16 @@ def _bundled_variant(tmp_path, config: str, mutate) -> str:
 @pytest.mark.parametrize("mutate, field", [
     (lambda c: c["protocol"]["parameters"][0].update(values=["a", "b", "c", "d"]),
      "values must be numbers"),
+    (lambda c: c["protocol"]["parameters"][0].update(values=["0", "1", "2", "3"]),
+     "protocol.parameters[0]: parameter 'power': values must be numbers"),
+    (lambda c: c["protocol"]["parameters"][0].update(values=[True, 2, 3, 4]),
+     "protocol.parameters[0]: parameter 'power': values must be numbers"),
+    (lambda c: c["engine"].update(suggestions=[["1", 2]]),
+     "engine.suggestions[0]: value '1' not allowed"),
+    (lambda c: c["engine"].update(suggestions=[[1, 2], ["a", 2]]),
+     "engine.suggestions[1]: value 'a' not allowed"),
+    (lambda c: c["engine"].update(delta=10**400),
+     "engine.delta: integer is too large for a float"),
     (lambda c: c["engine"].update(kernel={"length_scale": math.nan}),
      "length_scale"),
     (lambda c: c["executor"]["synthetic"]["noise_std"].update(cost=math.inf),
@@ -421,7 +431,8 @@ def _bundled_variant(tmp_path, config: str, mutate) -> str:
     (lambda c: c["engine"].update(rl_discount=math.nan), "rl_discount"),
     (lambda c: c["engine"].update(rl_discount=-0.1), "rl_discount"),
     (lambda c: c["engine"].update(rl_discount=7.0), "rl_discount"),
-], ids=["text-values", "nan-length-scale", "inf-noise", "nan-noise",
+], ids=["text-values", "string-values", "bool-values", "string-suggestion",
+        "text-suggestion", "oversized-int", "nan-length-scale", "inf-noise", "nan-noise",
         "bool-n-init", "bool-max-trials", "bool-jobs",
         "nan-epsilon", "negative-epsilon", "epsilon-above-1",
         "nan-learning-rate", "negative-learning-rate", "zero-learning-rate",
@@ -571,6 +582,8 @@ def _in_doc(change):
     (_in_doc(lambda d: d["trials"][2].pop("set_index")), "trials[2].set_index"),
     (_in_doc(lambda d: d["trials"][0]["metrics"].update(energy="abc")),
      "trials[0].metrics.energy"),
+    (_in_doc(lambda d: d["trials"][0]["metrics"].update(energy=10**400)),
+     "trials[0].metrics.energy: integer is too large for a float"),
     (lambda text: text[: len(text) // 2], "run_result.json: invalid JSON"),
     (_in_doc(lambda d: d["trials"][0].update(set_index=99)),
      "trial 1: set_index 99 is not one of the sets 0..15"),
@@ -584,7 +597,7 @@ def _in_doc(change):
      "trial 1: metric 'energy' is nan"),
 ], ids=["goal-without-direction", "text-bound", "kernel-key-typo",
         "constraint-key-typo", "text-values", "trial-without-set-index",
-        "text-metric", "not-json", "set-index-99", "set-index-16",
+        "text-metric", "oversized-metric", "not-json", "set-index-99", "set-index-16",
         "set-index-minus-1", "set-index-true", "nan-metric"])
 def test_damaged_run_file_is_config_error_naming_the_field(run_file_doc, tmp_path,
                                                            damage, field):

@@ -98,8 +98,12 @@ class TestParameterDef:
             ParameterDef("p", (1.0, math.inf))
 
     def test_values_must_be_numbers(self):
-        with pytest.raises(ConfigError, match="'p': values must be numbers"):
-            ParameterDef("p", ("a", "b", "c", "d"))
+        # A bool or a numeric string is not a number, and an int past the
+        # float range is not finite.
+        for values in (("a", "b", "c", "d"), ("0", "1", "2", "3"), (True, 2, 3, 4),
+                       (1, 10**400)):
+            with pytest.raises(ConfigError, match="'p': values must be numbers"):
+                ParameterDef("p", values)
 
     def test_log2_needs_positive_values(self):
         with pytest.raises(ConfigError, match="positive"):

@@ -163,9 +163,10 @@ def _bits(a) -> bytes:
 
 
 class TestIncrementalTotals:
-    """The models ``AnalysisState`` fits after each trial, from the trials
-    its kept GP state folds in one at a time, equal a fresh fit of the
-    whole trace and regrouping it with ``np.unique`` and ``np.bincount``."""
+    """``AnalysisState`` gives each fit the one trial it is telling; the GP
+    state it keeps then holds the whole trace, and its models equal a
+    fresh fit of that trace and regrouping it with ``np.unique`` and
+    ``np.bincount``."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(
@@ -174,7 +175,7 @@ class TestIncrementalTotals:
                   st.floats(-1e4, 1e4, allow_nan=False)),
         min_size=1, max_size=100,
     ))
-    # Past the buffers' first 64 entries, so they grow once.
+    # Past the target buffer's first 64 entries, so it grows once.
     @example([(i % 16, float(i), float(100 - i)) for i in range(70)])
     def test_fit_inputs_equal_the_regrouped_trace(self, trace):
         space = ParameterSpace([ParameterDef("a", (0.0, 1.0, 2.0, 3.0)),
@@ -186,19 +187,25 @@ class TestIncrementalTotals:
         targets_so_far: dict[str, list[float]] = {"goal": [], "c:prr": []}
 
         def checked(space, set_indices, values_by_metric, cfg, rows=None):
-            assert list(set_indices) == sets_so_far
+            assert list(set_indices) == sets_so_far[-1:]
+            assert list(values_by_metric) == list(targets_so_far)
+            for metric, values in values_by_metric.items():
+                assert _bits(values) == _bits(targets_so_far[metric][-1:])
             sets, inverse, counts = np.unique(np.array(sets_so_far),
                                               return_inverse=True, return_counts=True)
             models = real(space, set_indices, values_by_metric, cfg, rows=rows)
             fresh = real(space, sets_so_far, targets_so_far, cfg)
-            for metric, values in values_by_metric.items():
+            for column, metric in enumerate(values_by_metric, start=1):
                 y = np.array(targets_so_far[metric])
-                assert _bits(values) == _bits(y)
+                assert _bits(rows._y[column - 1, :rows.n_trials]) == _bits(y)
                 means = np.bincount(inverse, weights=y) / counts
                 scale = surrogate._standardize(y)
                 for model in (models[metric], fresh[metric]):
-                    assert np.array_equal(model.train_sets, sets)
-                    assert _bits(model.set_means) == _bits(means)
+                    kept = model._rows
+                    assert kept.n_trials == len(sets_so_far)
+                    assert np.array_equal(np.sort(kept._order), sets)
+                    totals = kept._totals[kept._order.argsort()]
+                    assert _bits(totals[:, column] / totals[:, 0]) == _bits(means)
                     assert _bits([model.y_mean, model.y_std]) == _bits(scale)
             return models
 
@@ -511,13 +518,14 @@ def _analysis_snapshot(state: AnalysisState) -> tuple:
     and the kept GP factor, bit for bit."""
     rows = state._rows
     m = len(rows)
-    arrays = (state.goal_mean, state.goal_std, rows._order, rows._totals,
-              np.tril(rows._lower[:m, :m]), rows._vw[:m], rows._var)
+    arrays = (state.goal_mean, state.goal_std, rows._y[:, :rows.n_trials],
+              rows._order, rows._totals, np.tril(rows._lower[:m, :m]),
+              rows._vw[:m], rows._var)
     return (state.n, state.last, dict(state.counts), dict(state.goal_medians),
             state.kappa, state.d_n, state.d_satisfying, state.d_violating,
             state.best_index, state.reported_index, dict(state.f_c_plus),
             state.goal_range, list(state.trace.cumulative), rows.generation,
-            rows._folded, [_bits(a) for a in arrays])
+            rows.n_trials, [_bits(a) for a in arrays])
 
 
 class TestFitErrorKeepsTheState:

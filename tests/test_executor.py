@@ -318,6 +318,20 @@ class TestDatasetIO:
         assert loaded.space.defs[0] == ParameterDef("p", (0.0, 1.0), unit="dB")
         assert loaded.values(1, "m") == [2.0]
 
+    @pytest.mark.parametrize("values", [["0", "1"], [True, 1], [0, 10**400]],
+                             ids=["string", "bool", "oversized-int"])
+    def test_header_parameter_values_must_be_numbers(self, tmp_path, values):
+        # The parameter-value rule of the records holds for the header too.
+        path = tmp_path / "header.jsonl"
+        path.write_text(
+            json.dumps({"params": {"p": 1}, "metrics": {"m": 2.0}}) + "\n"
+            + json.dumps({"header": {"parameters": [{"name": "p", "values": values}]}})
+            + "\n"
+        )
+        with pytest.raises(DatasetFormatError,
+                           match="header.jsonl:2: parameter 'p': values must be numbers"):
+            load_dataset(path)
+
     def test_missing_header_requires_space(self, tmp_path):
         path = tmp_path / "no_header.jsonl"
         path.write_text(

@@ -49,13 +49,13 @@ def per_set_mean_oracle(space, set_indices, values, cfg, query_indices):
     mean, std = y.mean(), y.std() or 1.0
     sets = sorted(set(idx.tolist()))
     counts = np.array([np.sum(idx == i) for i in sets], float)
-    set_means = np.array([y[idx == i].mean() for i in sets])
+    means = np.array([y[idx == i].mean() for i in sets])
     coords = space.normalized_all()[sets]
     a = kernel_matrix(cfg, coords, coords) + np.diag((cfg.noise_variance + cfg.jitter)
                                                       / counts)
     q = space.normalized_all()[np.asarray(query_indices, int)]
     k_star = kernel_matrix(cfg, coords, q)
-    mu_s = k_star.T @ np.linalg.solve(a, (set_means - mean) / std)
+    mu_s = k_star.T @ np.linalg.solve(a, (means - mean) / std)
     var_s = cfg.signal_variance - np.sum(k_star * np.linalg.solve(a, k_star), axis=0)
     return mean + std * mu_s, std**2 * np.maximum(var_s, 0.0)
 
@@ -155,12 +155,13 @@ class TestKernelRows:
         ])
         coords = space.normalized_all()
         cfg = KernelConfig(kind=kind, length_scale=0.6, signal_variance=1.7)
-        rows = KernelRows(space, cfg)
+        rows = KernelRows(space, cfg, ("m",))
         rng = np.random.default_rng(11)
         trace: list[int] = []
         for size in (1, 3, 1, 8, 20):
-            trace += rng.choice(space.n_sets, size=size).tolist()
-            fit_many_xy(space, trace, {"m": [float(i) for i in trace]}, cfg, rows)
+            new = rng.choice(space.n_sets, size=size).tolist()
+            trace += new
+            fit_many_xy(space, new, {"m": [float(i) for i in new]}, cfg, rows)
             # One row per distinct set, in the order the sets were first tried.
             sets = rows._order
             assert sets.tolist() == list(dict.fromkeys(trace))
@@ -173,7 +174,7 @@ class TestKernelRows:
             assert np.array_equal(kept, kernel_matrix(cfg, u, coords))
 
     def test_rows_of_another_kernel_are_rejected(self, crystal_space):
-        rows = KernelRows(crystal_space, KernelConfig(length_scale=0.5))
+        rows = KernelRows(crystal_space, KernelConfig(length_scale=0.5), ("m",))
         with pytest.raises(ConfigError, match="another"):
             fit_many_xy(crystal_space, [0, 1], {"m": [1.0, 2.0]}, KernelConfig(),
                         rows)
@@ -272,15 +273,19 @@ def potrf_rows(monkeypatch) -> list[int]:
 
 
 def kept_state(rows: KernelRows) -> dict:
-    """Every attribute of ``rows``, its arrays copied."""
-    return {k: np.copy(v) if isinstance(v, np.ndarray) else v
-            for k, v in vars(rows).items()}
+    """Every attribute of ``rows``, its arrays copied; of the target buffer,
+    the targets it holds."""
+    state = {k: np.copy(v) if isinstance(v, np.ndarray) else v
+             for k, v in vars(rows).items()}
+    state["_y"] = state["_y"][:, :rows.n_trials]
+    return state
 
 
 def assert_state_equal(rows: KernelRows, kept: dict) -> None:
-    assert vars(rows).keys() == kept.keys()
+    state = kept_state(rows)
+    assert state.keys() == kept.keys()
     for name, value in kept.items():
-        now = getattr(rows, name)
+        now = state[name]
         if isinstance(value, np.ndarray):
             assert now.dtype == value.dtype and _bits(now) == _bits(value), name
         else:
@@ -351,59 +356,70 @@ class TestKeptFactor:
     def test_a_fit_factors_only_the_rows_from_the_changed_set_on(
             self, crystal_space, monkeypatch):
         factored = potrf_rows(monkeypatch)
-        rows = KernelRows(crystal_space, KernelConfig())
+        rows = KernelRows(crystal_space, KernelConfig(), ("m",))
         trials = []
         # Sets 3, 7, 1 and 12 take rows 0..3 in the order they are first tried.
         for idx, rows_factored in ((3, 1), (7, 1), (1, 1), (12, 1),
                                    (7, 3), (3, 4), (12, 1), (5, 1), (1, 3)):
             trials.append(idx)
             factored.clear()
-            fit_many_xy(crystal_space, trials, {"m": [float(i) for i in trials]},
-                        KernelConfig(), rows=rows)
+            fit_many_xy(crystal_space, [idx], {"m": [float(idx)]}, KernelConfig(),
+                        rows=rows)
             assert factored == [rows_factored], (idx, factored)
         factored.clear()
         fit_xy(crystal_space, trials, [float(i) for i in trials])
         assert factored == [len(set(trials))]
 
-    def test_a_trace_that_does_not_extend_the_kept_one_is_rejected(
-            self, crystal_space, monkeypatch):
-        rows = KernelRows(crystal_space, KernelConfig())
+    # The overflowing sum warns before the rule rejects it.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+    def test_trials_that_cannot_be_added_are_rejected(self, crystal_space,
+                                                      monkeypatch):
+        rows = KernelRows(crystal_space, KernelConfig(), ("m",))
         last = fit_many_xy(crystal_space, [4, 9, 2], {"m": [1.0, 5.0, 2.0]},
                            KernelConfig(), rows=rows)["m"]
         kept = kept_state(rows)
-        for sets, values in (
-            ([4, 9], {"m": [1.0, 5.0]}),  # fewer trials than the rows hold
-            ([4, 9, 2, 3], {"n": [1.0, 5.0, 2.0, 3.0]}),  # other metric names
-            ([4, 9, 2, 3], {"m": [1.0, 5.0, 2.0, 3.0], "n": [0.0] * 4}),
-            ([4, 9, 2, 16], {"m": [1.0, 5.0, 2.0, 3.0]}),  # not a set
-            ([4, 9, 2, -1], {"m": [1.0, 5.0, 2.0, 3.0]}),
+        other_space = ParameterSpace(crystal_space.defs)
+        for space, sets, values, cfg, error in (
+            (crystal_space, [3], {"n": [3.0]}, KernelConfig(), ConfigError),
+            (crystal_space, [3], {"m": [3.0], "n": [0.0]}, KernelConfig(), ConfigError),
+            (other_space, [3], {"m": [3.0]}, KernelConfig(), ConfigError),
+            (crystal_space, [3], {"m": [3.0]}, KernelConfig(length_scale=0.5),
+             ConfigError),
+            (crystal_space, [16], {"m": [3.0]}, KernelConfig(), ConfigError),
+            (crystal_space, [3, -1], {"m": [3.0, 1.0]}, KernelConfig(), ConfigError),
+            (crystal_space, [3], {"m": [math.nan]}, KernelConfig(), ValueError),
+            # Finite targets whose sum overflows; past the buffer's capacity.
+            (crystal_space, [3, 3], {"m": [1e308, 1e308]}, KernelConfig(), ValueError),
+            (crystal_space, [3] * 70, {"m": [3.0] * 69 + [math.nan]}, KernelConfig(),
+             ValueError),
+            (crystal_space, [], {"m": []}, KernelConfig(), ConfigError),
         ):
-            with pytest.raises(ConfigError):
-                fit_many_xy(crystal_space, sets, values, KernelConfig(), rows=rows)
+            with pytest.raises(error):
+                fit_many_xy(space, sets, values, cfg, rows=rows)
             assert_state_equal(rows, kept)
         last.predict_all()
-        # The same trace again folds nothing and refactors no row, but it is
-        # a new fit: the last model is stale.
+        # A trial that can be added is then a new fit: the last model is
+        # stale, and only the new set's row is factored.
         factored = potrf_rows(monkeypatch)
-        again = fit_many_xy(crystal_space, [4, 9, 2], {"m": [1.0, 5.0, 2.0]},
-                            KernelConfig(), rows=rows)["m"]
-        assert factored == [0]
+        again = fit_many_xy(crystal_space, [3], {"m": [3.0]}, KernelConfig(),
+                            rows=rows)["m"]
+        assert factored == [1]
         with pytest.raises(RuntimeError, match="stale"):
             last.predict_all()
         mean, var = again.predict_all()
-        o_mean, o_var = per_set_mean_oracle(crystal_space, [4, 9, 2], [1.0, 5.0, 2.0],
-                                            KernelConfig(), range(16))
+        o_mean, o_var = per_set_mean_oracle(crystal_space, [4, 9, 2, 3],
+                                            [1.0, 5.0, 2.0, 3.0], KernelConfig(),
+                                            range(16))
         np.testing.assert_allclose(mean, o_mean, rtol=1e-10)
         np.testing.assert_allclose(var, o_var, rtol=1e-10)
 
     def test_a_model_is_stale_after_the_next_fit_on_its_rows(self, crystal_space):
-        rows = KernelRows(crystal_space, KernelConfig())
+        rows = KernelRows(crystal_space, KernelConfig(), ("m",))
         first = fit_many_xy(crystal_space, [0, 5], {"m": [1.0, 2.0]}, KernelConfig(),
                             rows=rows)["m"]
         own = fit_xy(crystal_space, [0, 5], [1.0, 2.0])
         before = own.predict_all()
-        fit_many_xy(crystal_space, [0, 5, 5], {"m": [1.0, 2.0, 4.0]}, KernelConfig(),
-                    rows=rows)
+        fit_many_xy(crystal_space, [5], {"m": [4.0]}, KernelConfig(), rows=rows)
         for predict_one in (first.predict_all, lambda: first.predict_sets([1]),
                             lambda: predict(first, 1)):
             with pytest.raises(RuntimeError, match="stale"):
@@ -413,23 +429,18 @@ class TestKeptFactor:
 
     def test_escalation_past_the_ceiling_keeps_the_factor(self, crystal_space,
                                                           monkeypatch):
-        rows = KernelRows(crystal_space, KernelConfig())
+        rows = KernelRows(crystal_space, KernelConfig(), ("m",))
         fit_many_xy(crystal_space, [2, 8, 2], {"m": [1.0, 3.0, 2.0]}, KernelConfig(),
                     rows=rows)
-        kept = {k: np.copy(v) for k, v in vars(rows).items()
-                if isinstance(v, np.ndarray)}
-        generation = rows.generation
+        kept = kept_state(rows)
         tries = []
         monkeypatch.setattr(surrogate, "dpotrf",
                             lambda a, **kw: (tries.append(a.shape[0]) or a, 1))
         with pytest.raises(surrogate.FitError, match="jitter"):
-            fit_many_xy(crystal_space, [2, 8, 2, 8], {"m": [1.0, 3.0, 2.0, 5.0]},
-                        KernelConfig(), rows=rows)
+            fit_many_xy(crystal_space, [8], {"m": [5.0]}, KernelConfig(), rows=rows)
         # cfg.jitter on the trailing rows, then 1e-7 .. 1e-4 on every row.
         assert tries == [1, 2, 2, 2, 2]
-        assert rows.generation == generation
-        for name, value in kept.items():
-            assert np.array_equal(getattr(rows, name), value), name
+        assert_state_equal(rows, kept)
 
 
 class TestFitPredict:
@@ -674,10 +685,11 @@ class TestOpenBLASBinding:
         query = rng.uniform(size=(5, 3))
 
         def run():
-            rows = KernelRows(space, KernelConfig())
+            rows = KernelRows(space, KernelConfig(), tuple(values))
             out = []
-            for t in range(1, 41):
-                models = fit_many_xy(space, trials[:t], {k: v[:t] for k, v in values.items()},
+            for t in range(40):
+                models = fit_many_xy(space, trials[t:t + 1],
+                                     {k: v[t:t + 1] for k, v in values.items()},
                                      KernelConfig(), rows=rows)
                 m = len(rows)
                 # The buffers' rows past m, and L's upper triangle, are unset.
